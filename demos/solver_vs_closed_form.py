@@ -1,6 +1,6 @@
 """Discretized solve against the exact three-point answer.
 
-The conditional-gradient solver knows nothing about the closed forms;
+The pairwise Frank-Wolfe solver knows nothing about the closed forms;
 it just minimizes w' M w over the probability simplex on a grid.  On an
 interval of twice the lag it should rediscover the three-atom measure.
 """
@@ -25,7 +25,7 @@ exact = three_point(0.0, 1.0, c_star(kernel, 1.0))
 e_exact = energy(kernel, exact)
 
 problem = discretize(kernel, grid)
-result = solve(problem, tol=1e-5, max_iter=200_000)
+result = solve(problem, tol=1e-9)
 mu = extract_measure(result, grid, prune=1e-4)
 
 print(f"closed form : {e_exact:.12f}")

@@ -8,8 +8,8 @@ independent ways and cross-checks them:
 
 * closed-form minimizers for the catalogued kernels (``measures``,
   ``energy``),
-* a discretized conditional-gradient solver with an equilibrium
-  certificate (``solver``),
+* a discretized pairwise Frank-Wolfe solver with an active-set polish
+  and an equilibrium certificate (``solver``),
 * counter-based Monte Carlo estimation of the tail itself
   (``montecarlo``).
 

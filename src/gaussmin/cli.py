@@ -13,7 +13,10 @@ Every command prints a key-value summary to stdout and, when an output
 directory is configured (--out wins over [output] dir), writes the same
 summary plus CSV tables there.  Exit codes: 0 success, 2 a verification,
 convergence, or assumption check failed, 3 no closed form applies to the
-configured problem, 4 malformed input, 5 numerical failure.
+configured problem, 4 malformed input or a kernel the operation does not
+apply to, 5 numerical failure (a covariance that cannot be factorized, a
+degenerate kernel, or a solution pruned to nothing).  Codes 4 and 5 print a
+one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ from .energy import check_optimality, energy, potential, rate
 from .errors import (
     ConfigError,
     DegenerateKernelError,
-    DomainError,
+    EmptyMeasureError,
     FactorizationError,
-    GridError,
-    IntervalError,
+    GaussminError,
 )
 from .kernels import (
     gamma,
@@ -61,6 +63,10 @@ EXIT_BAD_INPUT = 4
 EXIT_NUMERICAL = 5
 
 _VERIFY_GRID_TOL = 1e-8
+
+# failures of the computation itself; every other GaussminError is an input
+# the operation does not accept
+_NUMERICAL_ERRORS = (DegenerateKernelError, EmptyMeasureError, FactorizationError)
 
 
 def _kernel_label(cfg):
@@ -359,7 +365,8 @@ def cmd_simulate(cfg, out_dir, args):
             ("u", "trials", "hits", "p_hat", "log_p_over_u2", "ci_halfwidth", "flag"),
             rows,
         )
-        if "svg" in cfg.formats:
+        # a single level has no curve to draw
+        if "svg" in cfg.formats and est.u.size >= 2:
             write_svg(
                 os.path.join(out_dir, "ldp.svg"),
                 est.u,
@@ -389,11 +396,7 @@ def cmd_figures(cfg, out_dir, args):
     if not out_dir:
         raise ConfigError("figures needs an output directory (--out or [output] dir)")
     h = kernel.h
-    try:
-        cstar = c_star(kernel, h)
-    except DegenerateKernelError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    cstar = c_star(kernel, h)
     sym, gam_grid, pot_grid = _figure_grids(h)
     f = increment_function(kernel, sym)
     f1 = increment_function_d1(kernel, sym)
@@ -501,12 +504,12 @@ def main(argv=None):
         cfg = load_config(args.config)
         out_dir = args.out if args.out is not None else cfg.out_dir
         return _DISPATCH[args.command](cfg, out_dir, args)
-    except (ConfigError, DomainError, GridError, IntervalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except FactorizationError as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except GaussminError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

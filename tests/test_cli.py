@@ -141,6 +141,20 @@ class TestSolve:
         assert code == 2
         assert parse_pairs(out)["converged"] == "False"
 
+    def test_solution_pruned_to_nothing_exits_five(self, run_cli, write_ini):
+        # the lag is shorter than the grid step, so the optimum spreads
+        # 1/401 over every node and prune = 0.01 removes all of them
+        body = (
+            "[kernel]\nkind = fgn\nH = 0.5\nh = 0.001\n"
+            "[interval]\na = 0.0\nb = 1.0\n"
+            "[grid]\nn = 401\n[solver]\nprune = 0.01\n"
+        )
+        code, out, err = run_cli("solve", "--config", write_ini("s.ini", body))
+        assert code == 5
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def _measure_csv(self, tmp_path, locations, weights):
@@ -289,6 +303,22 @@ class TestSimulate:
         assert code == 0
         svg = (out_dir / "ldp.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_single_level_skips_svg(self, run_cli, write_ini, tmp_path):
+        out_dir = tmp_path / "out"
+        body = (
+            BM_INTERVAL
+            + "[grid]\nn = 10\n[mc]\nu_list = 1.0\ntrials = 500\n"
+            + "[output]\nformats = csv, svg\n"
+        )
+        code, _, err = run_cli(
+            "simulate", "--config", write_ini("m.ini", body), "--out", out_dir
+        )
+        assert code == 0
+        assert err == ""
+        _, rows = _read_csv(out_dir / "ldp.csv")
+        assert len(rows) == 1
+        assert not (out_dir / "ldp.svg").exists()
 
     def test_missing_mc_section_rejected(self, run_cli, write_ini):
         code, _, err = run_cli("simulate", "--config", write_ini("m.ini", BM_INTERVAL))

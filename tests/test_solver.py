@@ -8,8 +8,10 @@ from gaussmin import (
     DiscreteMeasure,
     DiscretizedProblem,
     EmptyMeasureError,
+    FractionalBM,
     FractionalGaussianNoise,
     Grid,
+    IncrementOf,
     SolverResult,
     c_star,
     discretize,
@@ -18,6 +20,9 @@ from gaussmin import (
     solve,
     three_point,
 )
+from gaussmin.solver import _polish
+
+README_SIGMA_SQ = 0.5744706733790146
 
 
 def _problem(matrix):
@@ -43,6 +48,27 @@ class TestDiscretize:
         np.testing.assert_array_equal(prob.matrix, prob.matrix.T)
         with pytest.raises(ValueError):
             prob.matrix[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "kernel, a, b, n",
+        [
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0, 401),
+            (FractionalGaussianNoise(0.3, 1.0), 0.0, 3.0, 401),
+            (IncrementOf(FractionalBM(0.75), 0.5), 1.0, 2.5, 301),
+        ],
+    )
+    def test_stationary_toeplitz_matches_pairwise_build(self, kernel, a, b, n):
+        # For H < 1/2, Gamma has infinite slope at tau = h, so on a grid with
+        # a node pair exactly h apart the pairwise build scatters by ~1e-10
+        # along that diagonal (rounding in t_j - t_i); the H=0.3 grid here
+        # has no such pair, and the Toeplitz build uses one lag per diagonal.
+        grid = Grid(a, b, n)
+        t = grid.nodes
+        matrix = discretize(kernel, grid).matrix
+        np.testing.assert_array_equal(matrix, matrix.T)
+        np.testing.assert_allclose(
+            matrix, kernel.cov(t[:, None], t[None, :]), rtol=0.0, atol=1e-14
+        )
 
 
 class TestSolve:
@@ -101,6 +127,50 @@ class TestSolve:
         # equals the continuum one and the gap bounds the excess
         assert result.energy >= exact - 1e-12
         assert result.energy - exact <= result.equilibrium_gap + 1e-12
+
+    def test_readme_run_file_converges(self):
+        # FGN H=0.75, h=1 on [0, 2], n=401, tol=1e-9: the README's run file
+        prob = discretize(FractionalGaussianNoise(0.75, 1.0), Grid(0.0, 2.0, 401))
+        result = solve(prob, tol=1e-9)
+        assert result.converged
+        assert result.iterations <= 1_000
+        assert README_SIGMA_SQ - 1e-12 <= result.energy
+        assert result.energy <= README_SIGMA_SQ + result.equilibrium_gap + 1e-12
+
+    def test_rough_kernel_converges(self):
+        # H=0.3 has no closed form and spreads its minimizer over many nodes
+        prob = discretize(FractionalGaussianNoise(0.3, 1.0), Grid(0.0, 3.0, 401))
+        result = solve(prob, tol=1e-9, history=True)
+        assert result.converged
+        assert result.equilibrium_gap <= 1e-9
+        assert np.all(np.diff(result.energy_trace) <= 0.0)
+
+    def test_half_hurst_singular_polish_stays_finite(self):
+        # H = 1/2 noise has the triangular autocovariance max(h - |tau|, 0);
+        # a repeated node makes M_SS exactly singular on the full support
+        kernel = FractionalGaussianNoise(0.5, 1.0)
+        nodes = np.array([0.0, 1.0, 1.0, 2.0])
+        matrix = kernel.cov(nodes[:, None], nodes[None, :])
+        kkt = np.ones((5, 5))
+        kkt[:4, :4] = matrix
+        kkt[4, 4] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(kkt, np.eye(5)[4])
+        w = np.full(4, 0.25)
+        g = 2.0 * matrix @ w
+        start = float(w @ matrix @ w)
+        energy_after, g_after = _polish(matrix, w, g, start)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(g_after))
+        assert energy_after <= start
+        assert energy_after == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert np.all(w >= 0.0)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+
+        result = solve(_problem(matrix), tol=1e-12, history=True)
+        assert result.converged
+        assert np.all(np.isfinite(result.energy_trace))
+        assert np.all(np.diff(result.energy_trace) <= 0.0)
+        assert result.energy == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_max_iter_one_does_not_converge(self):
         prob = discretize(FractionalGaussianNoise(0.75, 1.0), Grid(0.0, 2.0, 51))
