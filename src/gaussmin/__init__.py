@@ -13,6 +13,12 @@ independent ways and cross-checks them:
 * counter-based Monte Carlo estimation of the tail itself
   (``montecarlo``).
 
+The covariance kernels (``kernels``) are three classes: ``FractionalBM``,
+``IncrementOf`` (stationary lag-h increments of a pinned base) and
+``Tabulated``.  ``BrownianMotion()`` and ``FractionalGaussianNoise(H, h)``
+are constructors that return ``FractionalBM(0.5)`` and
+``IncrementOf(FractionalBM(H), h)``.
+
 ``audits`` probes the structural assumptions behind each closed form,
 and ``cli`` exposes everything as the ``gaussmin`` command.
 """
@@ -49,11 +55,6 @@ from .kernels import (
     Kernel,
     Tabulated,
     decomposition_residual,
-    eval_covariance,
-    gamma,
-    increment_function,
-    increment_function_d1,
-    increment_function_d2,
 )
 from .measures import (
     DiscreteMeasure,
@@ -135,13 +136,8 @@ __all__ = [
     "discretize",
     "energy",
     "estimate_tail",
-    "eval_covariance",
     "extract_measure",
     "factorize",
-    "gamma",
-    "increment_function",
-    "increment_function_d1",
-    "increment_function_d2",
     "ldp_curve",
     "load_config",
     "load_measure",

@@ -32,11 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PinnedOriginError
-from .kernels import (
-    gamma as _gamma,
-    increment_function_d1,
-    increment_function_d2,
-)
 from .measures import c_star
 
 __all__ = [
@@ -111,7 +106,7 @@ def audit_increment_monotone(kernel, t_range=None, samples=10_000, seed=0):
     rng = np.random.default_rng(seed)
     t = rng.uniform(lo, hi, size=samples)
     t = t[(np.abs(t) > 1e-9 * h) & (np.abs(t + h) > 1e-9 * h)]
-    d1 = increment_function_d1(kernel, t)
+    d1 = kernel.increment_d1(t)
     k = int(np.argmin(d1))
     worst = float(d1[k])
     note = ""
@@ -151,7 +146,7 @@ def audit_first_case(kernel, b_samples=11, t_samples=400, t_max=None):
     for b in b_values:
         mask = (t_nodes > step) & (np.abs(t_nodes - b) > step)
         t = t_nodes[mask]
-        total = increment_function_d2(kernel, t) + increment_function_d2(kernel, t - b)
+        total = kernel.increment_d2(t) + kernel.increment_d2(t - b)
         k = int(np.argmax(total))
         if float(total[k]) > worst:
             worst = float(total[k])
@@ -184,11 +179,7 @@ def audit_second_case(kernel, h, n=512):
     cstar = c_star(kernel, h)  # DegenerateKernelError propagates
     step = h / (n + 1)
     t = np.linspace(step, h - step, n)
-    curve = (
-        _gamma(kernel, t)
-        + cstar * _gamma(kernel, h - t)
-        + _gamma(kernel, 2.0 * h - t)
-    )
+    curve = kernel.gamma(t) + cstar * kernel.gamma(h - t) + kernel.gamma(2.0 * h - t)
     diffs = np.diff(curve)
     scale = max(1.0, float(np.max(np.abs(curve))))
     signs = np.sign(diffs)

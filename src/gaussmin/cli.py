@@ -37,12 +37,7 @@ from .errors import (
     FactorizationError,
     GaussminError,
 )
-from .kernels import (
-    gamma,
-    increment_function,
-    increment_function_d1,
-    increment_function_d2,
-)
+from .kernels import IncrementOf
 from .measures import (
     Grid,
     c_star,
@@ -76,10 +71,6 @@ def _kernel_label(cfg):
     return f"{cfg.kernel_kind}({inner})"
 
 
-def _is_increment_kernel(kernel):
-    return kernel.stationary and hasattr(kernel, "increment")
-
-
 def _closed_form(kernel, cfg):
     """Pick the closed-form minimizer for the configured problem.
 
@@ -97,7 +88,7 @@ def _closed_form(kernel, cfg):
             "increment correlations go negative on the interval, so the "
             "left-endpoint measure is not guaranteed optimal"
         )
-    if _is_increment_kernel(kernel):
+    if isinstance(kernel, IncrementOf):
         h = kernel.h
         width = b - a
         tol = 1e-12 * max(1.0, abs(a), abs(b), h)
@@ -119,6 +110,12 @@ def _closed_form(kernel, cfg):
             f"twice the lag"
         )
     return None, "no closed-form template covers this kernel type"
+
+
+def _rate(sigma_sq):
+    # sigma_sq = 0 (a measure on nodes where the process vanishes, such as
+    # the origin for a pinned process) means P(min > u) = 0 for every u > 0
+    return rate(sigma_sq) if sigma_sq > 0.0 else float("-inf")
 
 
 def _interval_pairs(a, b):
@@ -186,7 +183,7 @@ def cmd_rate(cfg, out_dir, args):
         + [
             ("closed_form", name),
             ("sigma_sq", report.energy),
-            ("rate", rate(report.energy)),
+            ("rate", _rate(report.energy)),
         ]
         + _measure_pairs(mu)
         + _optimality_pairs(report)
@@ -206,7 +203,6 @@ def cmd_solve(cfg, out_dir, args):
     result = solve(problem, tol=cfg.tol, max_iter=cfg.max_iter)
     mu = extract_measure(result, grid, prune=cfg.prune)
     sigma_sq = result.energy
-    rate_value = rate(sigma_sq) if sigma_sq > 0.0 else float("-inf")
     pairs = (
         [
             ("command", "solve"),
@@ -216,7 +212,7 @@ def cmd_solve(cfg, out_dir, args):
         + [
             ("grid_n", cfg.n),
             ("sigma_sq", sigma_sq),
-            ("rate", rate_value),
+            ("rate", _rate(sigma_sq)),
             ("equilibrium_gap", result.equilibrium_gap),
             ("iterations", result.iterations),
             ("converged", result.converged),
@@ -237,6 +233,8 @@ def cmd_solve(cfg, out_dir, args):
 
 
 def cmd_verify(cfg, out_dir, args):
+    if not args.tol > 0.0:
+        raise ConfigError(f"--tol must be positive, got {args.tol}")
     kernel = build_kernel(cfg)
     a, b = cfg.interval()
     mu = load_measure(args.measure)
@@ -254,7 +252,7 @@ def cmd_verify(cfg, out_dir, args):
             ("measure_file", args.measure),
         ]
         + _interval_pairs(a, b)
-        + [("sigma_sq", report.energy), ("rate", rate(report.energy))]
+        + [("sigma_sq", report.energy), ("rate", _rate(report.energy))]
         + _measure_pairs(mu)
         + _optimality_pairs(report)
     )
@@ -276,7 +274,7 @@ def _applicable_audits(kernel, cfg):
             )
         )
         reports.append(audits.audit_converse(kernel, a, b))
-    if _is_increment_kernel(kernel):
+    if isinstance(kernel, IncrementOf):
         reports.append(
             audits.audit_increment_monotone(
                 kernel, samples=cfg.audit_samples, seed=cfg.audit_seed
@@ -317,15 +315,7 @@ def cmd_simulate(cfg, out_dir, args):
             name = None
         if name is not None:
             sigma_sq = energy(kernel, picked)
-    est = ldp_curve(
-        kernel,
-        (a, b),
-        cfg.n,
-        cfg.u_list,
-        cfg.trials,
-        seed=cfg.mc_seed,
-        sigma_sq=sigma_sq,
-    )
+    est = ldp_curve(kernel, (a, b), cfg.n, cfg.u_list, cfg.trials, seed=cfg.mc_seed)
     pairs = (
         [
             ("command", "simulate"),
@@ -336,10 +326,7 @@ def cmd_simulate(cfg, out_dir, args):
             ("grid_n", cfg.n),
             ("trials", cfg.trials),
             ("seed", cfg.mc_seed),
-            (
-                "theoretical_rate",
-                "" if est.theoretical_rate is None else est.theoretical_rate,
-            ),
+            ("theoretical_rate", "" if sigma_sq is None else _rate(sigma_sq)),
             ("levels", ";".join(repr(float(x)) for x in est.u)),
             ("normalized_log_tail", ";".join(repr(float(x)) for x in est.log_p_over_u2)),
             ("flagged_levels", int(np.count_nonzero(est.flagged))),
@@ -389,7 +376,7 @@ def _figure_grids(h):
 
 def cmd_figures(cfg, out_dir, args):
     kernel = build_kernel(cfg)
-    if not _is_increment_kernel(kernel):
+    if not isinstance(kernel, IncrementOf):
         raise ConfigError(
             "figures needs an increment-type kernel (fgn or increment)"
         )
@@ -398,18 +385,14 @@ def cmd_figures(cfg, out_dir, args):
     h = kernel.h
     cstar = c_star(kernel, h)
     sym, gam_grid, pot_grid = _figure_grids(h)
-    f = increment_function(kernel, sym)
-    f1 = increment_function_d1(kernel, sym)
-    f2 = increment_function_d2(kernel, sym)
-    gam = gamma(kernel, gam_grid)
-
-    def g(t):
-        return gamma(kernel, t)
+    f = kernel.increment(sym)
+    f1 = kernel.increment_d1(sym)
+    f2 = kernel.increment_d2(sym)
+    gam = kernel.gamma(gam_grid)
+    g = kernel.gamma
 
     def g1(t):
-        return 0.5 * (
-            increment_function_d1(kernel, t) - increment_function_d1(kernel, -t)
-        )
+        return 0.5 * (kernel.increment_d1(t) - kernel.increment_d1(-t))
 
     pot = g(pot_grid) + cstar * g(h - pot_grid) + g(2.0 * h - pot_grid)
     pot_d1 = g1(pot_grid) - cstar * g1(h - pot_grid) - g1(2.0 * h - pot_grid)

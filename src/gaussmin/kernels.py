@@ -1,14 +1,17 @@
 """Covariance kernels for centered Gaussian processes on the half line.
 
-The catalogue covers the processes the closed-form theory speaks about:
+The catalogue is three classes and two constructors:
 
-* ``BrownianMotion``            R(s, t) = min(s, t)
-* ``FractionalBM(H)``           R(s, t) = (t^{2H} + s^{2H} - |t - s|^{2H}) / 2
-* ``FractionalGaussianNoise``   stationary lag-h increments of fractional
-  Brownian motion, Gamma(tau) = (|tau-h|^{2H} - 2|tau|^{2H} + |tau+h|^{2H}) / 2
-* ``IncrementOf(base, h)``      lag-h increments of any pinned base process
-  with stationary increments, via the variance function of the base
+* ``FractionalBM(H)``           fractional Brownian motion, Hurst index H in
+  (0, 1): R(s, t) = (t^{2H} + s^{2H} - |t - s|^{2H}) / 2
+* ``IncrementOf(base, h)``      stationary lag-h increments of a base process
+  pinned at the origin with stationary increments, via the base variance
 * ``Tabulated(nodes, matrix)``  kernels known only numerically on a grid
+* ``BrownianMotion()``          returns ``FractionalBM(0.5)``,
+  R(s, t) = min(s, t)
+* ``FractionalGaussianNoise(H, h)``  returns
+  ``IncrementOf(FractionalBM(H), h)``, the lag-h fractional Gaussian noise
+  Gamma(tau) = (|tau-h|^{2H} - 2|tau|^{2H} + |tau+h|^{2H}) / 2
 
 Increment kernels expose the one-sided function f(t) = V(t+h) - V(t), where
 V is the even extension of the base variance function.  The stationary
@@ -18,10 +21,12 @@ what the structural audits differentiate and sign-check.
 Examples
 --------
 >>> k = FractionalGaussianNoise(H=0.75, h=1.0)
+>>> k == IncrementOf(FractionalBM(0.75), 1.0)
+True
 >>> round(k.gamma(1.0), 6)
 0.414214
->>> IncrementOf(FractionalBM(0.75), 1.0).gamma(1.0) == k.gamma(1.0)
-True
+>>> BrownianMotion().cov(1.0, 2.0)
+1.0
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    FactorizationError,
     GridError,
     SingularityError,
     StationarityError,
@@ -44,11 +50,6 @@ __all__ = [
     "FractionalGaussianNoise",
     "IncrementOf",
     "Tabulated",
-    "eval_covariance",
-    "gamma",
-    "increment_function",
-    "increment_function_d1",
-    "increment_function_d2",
     "decomposition_residual",
 ]
 
@@ -112,40 +113,13 @@ class Kernel:
 
 
 @dataclass(frozen=True)
-class BrownianMotion(Kernel):
-    """Standard Brownian motion: R(s, t) = min(s, t) on [0, inf)."""
-
-    stationary = False
-    stationary_increments = True
-    pinned_origin = True
-
-    def cov(self, s, t):
-        s, sc1 = _astuple(s)
-        t, sc2 = _astuple(t)
-        _check_nonnegative(s, t)
-        return _ret(np.minimum(s, t), sc1 and sc2)
-
-    def variance(self, t):
-        t, scalar = _astuple(t)
-        _check_nonnegative(t)
-        return _ret(np.abs(t), scalar)
-
-    def _variance_even(self, t):
-        return np.abs(t)
-
-    def _power_exponent(self):
-        # variance |t|^{2H} with H = 1/2
-        return 0.5
-
-
-@dataclass(frozen=True)
 class FractionalBM(Kernel):
     """Fractional Brownian motion with Hurst index H in (0, 1).
 
     R(s, t) = (t^{2H} + s^{2H} - |t - s|^{2H}) / 2 for s, t >= 0.  The
-    process is pinned at zero, self-similar, and has stationary increments;
-    H = 1/2 reduces exactly to Brownian motion and is special-cased so the
-    two kernels evaluate identically.
+    process is pinned at zero, self-similar, and has stationary increments.
+    H = 1/2 is Brownian motion, and its covariance is computed as min(s, t)
+    so that it is exact rather than a difference of rounded powers.
     """
 
     H: float
@@ -174,90 +148,26 @@ class FractionalBM(Kernel):
         _check_nonnegative(t)
         return _ret(np.abs(t) ** (2.0 * self.H), scalar)
 
-    def _variance_even(self, t):
-        return np.abs(t) ** (2.0 * self.H)
-
-    def _power_exponent(self):
-        return self.H
-
-
-@dataclass(frozen=True)
-class FractionalGaussianNoise(Kernel):
-    """Lag-h increments of fractional Brownian motion, as a stationary kernel.
-
-    Gamma(tau) = (|tau - h|^{2H} - 2 |tau|^{2H} + |tau + h|^{2H}) / 2
-
-    The one-sided increment function and its derivatives are analytic:
-
-        f(t)   = |t + h|^{2H} - |t|^{2H}
-        f'(t)  = 2H (sgn(t+h) |t+h|^{2H-1} - sgn(t) |t|^{2H-1})
-        f''(t) = 2H (2H-1) (|t+h|^{2H-2} - |t|^{2H-2})
-
-    f' and f'' are singular at t in {0, -h}; evaluation there raises
-    :class:`SingularityError`.  H = 1/2 degenerates to the triangular
-    autocovariance max(h - |tau|, 0).
-    """
-
-    H: float
-    h: float
-
-    stationary = True
-    stationary_increments = True
-    pinned_origin = False
-
-    def __post_init__(self):
-        if not 0.0 < self.H < 1.0:
-            raise ValueError(f"Hurst index must lie in (0, 1), got {self.H}")
-        if not self.h > 0.0:
-            raise ValueError(f"lag must be positive, got {self.h}")
-
-    def gamma(self, tau):
-        tau, scalar = _astuple(tau)
-        e = 2.0 * self.H
-        out = 0.5 * (
-            np.abs(tau - self.h) ** e
-            - 2.0 * np.abs(tau) ** e
-            + np.abs(tau + self.h) ** e
-        )
-        return _ret(out, scalar)
-
-    def cov(self, s, t):
-        s, sc1 = _astuple(s)
-        t, sc2 = _astuple(t)
-        return _ret(np.asarray(self.gamma(t - s)), sc1 and sc2)
-
-    def variance(self, t):
-        t, scalar = _astuple(t)
-        out = np.full_like(t, self.h ** (2.0 * self.H))
-        return _ret(out, scalar)
-
-    def increment(self, t):
-        t, scalar = _astuple(t)
-        e = 2.0 * self.H
-        return _ret(np.abs(t + self.h) ** e - np.abs(t) ** e, scalar)
-
-    def increment_d1(self, t):
-        t, scalar = _astuple(t)
-        _check_not_singular(t, self.h)
-        return _ret(_power_d1(t, self.h, self.H), scalar)
-
-    def increment_d2(self, t):
-        t, scalar = _astuple(t)
-        _check_not_singular(t, self.h)
-        return _ret(_power_d2(t, self.h, self.H), scalar)
-
 
 @dataclass(frozen=True)
 class IncrementOf(Kernel):
     """Stationary kernel of X(t) = Y(t + h) - Y(t) for a pinned base Y.
 
     The base must be pinned at the origin and have stationary increments
-    (BrownianMotion and FractionalBM qualify); then with V the even
-    extension of the base variance, Gamma(tau) = (f(tau) + f(-tau)) / 2
-    for f(t) = V(t + h) - V(t).
+    (FractionalBM qualifies); then with V the even extension of the base
+    variance,
 
-    Derivatives of f are analytic when the base variance is a power law
-    and fall back to central finite differences otherwise.
+        Gamma(tau) = (V(tau - h) - 2 V(tau) + V(tau + h)) / 2
+                   = (f(tau) + f(-tau)) / 2,      f(t) = V(t + h) - V(t).
+
+    For an fBm base the derivatives of f are analytic,
+
+        f'(t)  = 2H (sgn(t+h) |t+h|^{2H-1} - sgn(t) |t|^{2H-1})
+        f''(t) = 2H (2H-1) (|t+h|^{2H-2} - |t|^{2H-2}),
+
+    singular at t in {0, -h}, where evaluation raises
+    :class:`SingularityError`; other bases fall back to central finite
+    differences.
     """
 
     base: Kernel
@@ -276,16 +186,16 @@ class IncrementOf(Kernel):
                 f"stationary increments; {type(self.base).__name__} is not"
             )
 
+    def _v(self, x):
+        return self.base.variance(np.abs(x))
+
     def increment(self, t):
         t, scalar = _astuple(t)
-        v = getattr(self.base, "_variance_even", None)
-        if v is None:
-            v = lambda x: self.base.variance(np.abs(x))  # noqa: E731
-        return _ret(v(t + self.h) - v(t), scalar)
+        return _ret(self._v(t + self.h) - self._v(t), scalar)
 
     def gamma(self, tau):
         tau, scalar = _astuple(tau)
-        out = 0.5 * (self.increment(tau) + self.increment(-tau))
+        out = 0.5 * (self._v(tau - self.h) - 2.0 * self._v(tau) + self._v(tau + self.h))
         return _ret(np.asarray(out), scalar)
 
     def cov(self, s, t):
@@ -299,18 +209,17 @@ class IncrementOf(Kernel):
         return _ret(out, scalar)
 
     def increment_d1(self, t):
-        t, scalar = _astuple(t)
-        if hasattr(self.base, "_power_exponent"):
-            _check_not_singular(t, self.h)
-            return _ret(_power_d1(t, self.h, self.base._power_exponent()), scalar)
-        return _ret(self._fd(t, order=1), scalar)
+        return self._derivative(t, _power_d1, order=1)
 
     def increment_d2(self, t):
+        return self._derivative(t, _power_d2, order=2)
+
+    def _derivative(self, t, power, order):
         t, scalar = _astuple(t)
-        if hasattr(self.base, "_power_exponent"):
+        if isinstance(self.base, FractionalBM):
             _check_not_singular(t, self.h)
-            return _ret(_power_d2(t, self.h, self.base._power_exponent()), scalar)
-        return _ret(self._fd(t, order=2), scalar)
+            return _ret(power(t, self.h, self.base.H), scalar)
+        return _ret(self._fd(t, order), scalar)
 
     def _fd(self, t, order):
         # central differences; step grows with |t| to keep cancellation in check
@@ -323,11 +232,28 @@ class IncrementOf(Kernel):
         return (up - 2.0 * mid + dn) / step**2
 
 
+def BrownianMotion():
+    """Standard Brownian motion, R(s, t) = min(s, t): ``FractionalBM(0.5)``."""
+    return FractionalBM(0.5)
+
+
+def FractionalGaussianNoise(H, h):
+    """Lag-h fractional Gaussian noise: ``IncrementOf(FractionalBM(H), h)``.
+
+    Gamma(tau) = (|tau - h|^{2H} - 2 |tau|^{2H} + |tau + h|^{2H}) / 2; H = 1/2
+    gives the triangular autocovariance max(h - |tau|, 0).
+    """
+    return IncrementOf(FractionalBM(H), h)
+
+
 class Tabulated(Kernel):
     """Kernel known only on a fixed grid of nodes.
 
     Queries must hit a node (within 1e-12 of the node span); anything else
-    raises :class:`GridError`.  The matrix must be symmetric within 1e-12.
+    raises :class:`GridError`.  The matrix must be symmetric within 1e-12,
+    and positive semidefinite: an eigenvalue below -1e-12 * max(1, max|M|)
+    raises :class:`FactorizationError`, since no Gaussian process has that
+    covariance.
     """
 
     stationary = False
@@ -349,6 +275,11 @@ class Tabulated(Kernel):
             raise ValueError("tabulated matrix contains non-finite entries")
         if np.max(np.abs(matrix - matrix.T), initial=0.0) > 1e-12:
             raise ValueError("tabulated matrix is not symmetric within 1e-12")
+        smallest = float(np.linalg.eigvalsh(matrix)[0])
+        if smallest < -1e-12 * max(1.0, float(np.max(np.abs(matrix)))):
+            raise FactorizationError(
+                f"tabulated matrix is not positive semidefinite: eigenvalue {smallest!r}"
+            )
         self.nodes = nodes
         self.matrix = matrix
         span = nodes[-1] - nodes[0] if nodes.size > 1 else 1.0
@@ -373,41 +304,6 @@ class Tabulated(Kernel):
         i = self._index(s_b.ravel()).reshape(s_b.shape)
         j = self._index(t_b.ravel()).reshape(t_b.shape)
         return _ret(self.matrix[i, j], sc1 and sc2)
-
-
-def eval_covariance(kernel, s, t):
-    """R(s, t) for any catalogue kernel; broadcasts over array input."""
-    return kernel.cov(s, t)
-
-
-def gamma(kernel, tau):
-    """Stationary autocovariance Gamma(tau); StationarityError otherwise."""
-    return kernel.gamma(tau)
-
-
-def _require_increment(kernel):
-    if not hasattr(kernel, "increment"):
-        raise TypeError(
-            f"{type(kernel).__name__} has no one-sided increment function"
-        )
-
-
-def increment_function(kernel, t):
-    """One-sided increment function f(t) = V(t + h) - V(t)."""
-    _require_increment(kernel)
-    return kernel.increment(t)
-
-
-def increment_function_d1(kernel, t):
-    """First derivative of f; singular at t in {0, -h} for analytic forms."""
-    _require_increment(kernel)
-    return kernel.increment_d1(t)
-
-
-def increment_function_d2(kernel, t):
-    """Second derivative of f; singular at t in {0, -h} for analytic forms."""
-    _require_increment(kernel)
-    return kernel.increment_d2(t)
 
 
 def decomposition_residual(base, h, s, t):

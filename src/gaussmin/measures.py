@@ -31,7 +31,6 @@ from .errors import (
     GridError,
     IntervalError,
 )
-from .kernels import gamma as _gamma
 
 __all__ = [
     "Grid",
@@ -180,9 +179,9 @@ def c_star(kernel, h):
     Requires a stationary kernel; a kernel with Gamma(h) = Gamma(0) leaves
     the ratio undefined and raises DegenerateKernelError.
     """
-    g0 = _gamma(kernel, 0.0)
-    gh = _gamma(kernel, h)
-    g2h = _gamma(kernel, 2.0 * h)
+    g0 = kernel.gamma(0.0)
+    gh = kernel.gamma(h)
+    g2h = kernel.gamma(2.0 * h)
     den = gh - g0
     if den == 0.0:
         raise DegenerateKernelError(

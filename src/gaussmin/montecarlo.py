@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FactorizationError
 from .measures import Grid
-from .solver import DiscretizedProblem, discretize
+from .solver import discretize
 
 __all__ = [
     "LdpEstimate",
@@ -87,57 +87,39 @@ def normal_block(seed, start_trial, trials, draws_per_trial):
     return z[:, :draws_per_trial]
 
 
-def _simulation_factor(kernel, interval, n):
-    a, b = interval
-    if n == 1:
-        # degenerate single-node grid at the midpoint; bypasses Grid which
-        # requires two nodes
-        mid = 0.5 * (a + b)
-        problem = DiscretizedProblem(grid=None, matrix=np.array([[kernel.cov(mid, mid)]]))
-        factor, _ = factorize(problem)
-        return factor
-    factor, _ = factorize(discretize(kernel, Grid(a, b, n)))
-    return factor
+def _path_batches(kernel, interval, n, trials, seed):
+    """Simulated paths on the n grid nodes of interval, in batches of rows.
+
+    Consecutive batches cover trials 0, 1, ..., trials - 1 in order; trial
+    i is always built from normal_block row i, so the paths do not depend
+    on the batch size.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
+    batch = max(1, _BATCH_DOUBLES // n)
+    for start in range(0, trials, batch):
+        z = normal_block(seed, start, min(batch, trials - start), n)
+        yield z @ factor.T
 
 
 def sample_paths(kernel, interval, n, trials, seed=0):
-    """Simulate `trials` paths on n grid nodes; rows are paths."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    factor = _simulation_factor(kernel, interval, n)
-    out = np.empty((trials, n))
-    batch = max(1, _BATCH_DOUBLES // max(n, 1))
-    for start in range(0, trials, batch):
-        m = min(batch, trials - start)
-        z = normal_block(seed, start, m, n)
-        np.matmul(z, factor.T, out=out[start : start + m])
-    return out
-
-
-def _path_minima(kernel, interval, n, trials, seed):
-    factor = _simulation_factor(kernel, interval, n)
-    minima = np.empty(trials)
-    batch = max(1, _BATCH_DOUBLES // max(n, 1))
-    for start in range(0, trials, batch):
-        m = min(batch, trials - start)
-        z = normal_block(seed, start, m, n)
-        x = z @ factor.T
-        minima[start : start + m] = x.min(axis=1)
-    return minima
+    """Simulate `trials` paths on n >= 2 grid nodes; rows are paths."""
+    return np.concatenate(list(_path_batches(kernel, interval, n, trials, seed)))
 
 
 def estimate_tail(kernel, interval, n, u, trials, seed=0):
     """Crude MC estimate of P(min over the grid nodes > u).
 
     Returns (p_hat, hits).  u may be zero (useful as a symmetry sanity
-    check); the grid may degenerate to a single midpoint node with n=1.
+    check).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     if u < 0.0:
         raise ValueError(f"level must be nonnegative, got {u}")
-    minima = _path_minima(kernel, interval, n, trials, seed)
-    hits = int(np.count_nonzero(minima > u))
+    hits = sum(
+        int(np.count_nonzero(x.min(axis=1) > u))
+        for x in _path_batches(kernel, interval, n, trials, seed)
+    )
     return hits / trials, hits
 
 
@@ -177,10 +159,9 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
         raise ValueError("levels must be positive")
     if np.any(np.diff(u) <= 0.0):
         raise ValueError("levels must be strictly increasing")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    minima = _path_minima(kernel, interval, n, trials, seed)
-    hits = np.array([int(np.count_nonzero(minima > lev)) for lev in u])
+    hits = np.zeros(u.size, dtype=np.int64)
+    for x in _path_batches(kernel, interval, n, trials, seed):
+        hits += np.count_nonzero(x.min(axis=1)[:, None] > u, axis=0)
     p_hat = hits / trials
     flagged = hits == 0
     safe_p = np.where(flagged, 1.0 / trials, p_hat)

@@ -28,7 +28,6 @@ from gaussmin import (
     discretize,
     energy,
     extract_measure,
-    increment_function,
     ldp_curve,
     potential,
     solve,
@@ -209,7 +208,7 @@ def test_increment_decomposition_identity():
         s, t = rng.uniform(-3.0, 3.0, size=2)
         kernel = IncrementOf(FractionalBM(H), h)
         lhs = 2.0 * kernel.cov(s, t)
-        rhs = increment_function(kernel, t - s) + increment_function(kernel, s - t)
+        rhs = kernel.increment(t - s) + kernel.increment(s - t)
         worst = max(worst, abs(lhs - rhs))
     assert worst <= 1e-10
 

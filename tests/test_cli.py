@@ -155,6 +155,21 @@ class TestSolve:
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
 
+    def test_negative_definite_table_exits_five(self, run_cli, write_ini, tmp_path):
+        # -I is symmetric but no covariance: rejected at load, not solved
+        lines = ["i,j,value"] + [
+            f"{i},{j},{-1.0 if i == j else 0.0}" for i in range(3) for j in range(3)
+        ]
+        (tmp_path / "m.csv").write_text("\n".join(lines) + "\n")
+        body = (
+            "[kernel]\nkind = tabulated\npath = m.csv\n"
+            "[interval]\na = 0.0\nb = 1.0\n[grid]\nn = 3\n"
+        )
+        code, out, err = run_cli("solve", "--config", write_ini("s.ini", body))
+        assert code == 5
+        assert out == ""
+        assert "positive semidefinite" in err
+
 
 class TestVerify:
     def _measure_csv(self, tmp_path, locations, weights):
@@ -207,6 +222,38 @@ class TestVerify:
         )
         assert code == 4
         assert "outside the interval" in err
+
+    @pytest.mark.parametrize("kernel", ["bm", "tabulated"])
+    def test_zero_energy_reports_infinite_rate(self, run_cli, write_ini, tmp_path, kernel):
+        # Brownian motion at the origin and an all-zero table both give
+        # sigma_sq = 0, which has no finite decay rate
+        (tmp_path / "zero.csv").write_text(
+            "i,j,value\n" + "".join(f"{i},{j},0.0\n" for i in range(2) for j in range(2))
+        )
+        body = (
+            f"[kernel]\nkind = {kernel}\n"
+            + ("path = zero.csv\n" if kernel == "tabulated" else "")
+            + "[interval]\na = 0.0\nb = 1.0\n[grid]\nn = 2\n"
+        )
+        mu = self._measure_csv(tmp_path, [0.0], [1.0])
+        code, out, err = run_cli(
+            "verify", "--config", write_ini("v.ini", body), "--measure", mu
+        )
+        pairs = parse_pairs(out)
+        assert (code, err) == (0, "")
+        assert float(pairs["sigma_sq"]) == 0.0
+        assert pairs["rate"] == "-inf"
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_nonpositive_tolerance_rejected(self, run_cli, write_ini, tmp_path, tol):
+        mu = self._measure_csv(tmp_path, [1.0], [1.0])
+        code, out, err = run_cli(
+            "verify", "--config", write_ini("v.ini", BM_INTERVAL),
+            "--measure", mu, "--tol", tol,
+        )
+        assert code == 4
+        assert out == ""
+        assert "--tol must be positive" in err
 
     def test_loose_tolerance_accepts_near_optimum(self, run_cli, write_ini, tmp_path):
         mu = self._measure_csv(tmp_path, [0.0, 1.0, 2.0], [0.36, 0.28, 0.36])
@@ -279,6 +326,16 @@ class TestSimulate:
         assert float(parse_pairs(out)["theoretical_rate"]) == pytest.approx(
             -1.0 / 1.2, rel=1e-15
         )
+
+    def test_zero_closed_form_energy_gives_infinite_rate(self, run_cli, write_ini):
+        # Brownian motion pinned at the left endpoint a = 0 has sigma_sq = 0
+        body = (
+            "[kernel]\nkind = bm\n[interval]\na = 0.0\nb = 1.0\n"
+            "[grid]\nn = 5\n[mc]\nu_list = 1.0\ntrials = 10\n"
+        )
+        code, out, err = run_cli("simulate", "--config", write_ini("m.ini", body))
+        assert (code, err) == (0, "")
+        assert parse_pairs(out)["theoretical_rate"] == "-inf"
 
     def test_no_closed_form_leaves_rate_blank(self, run_cli, write_ini):
         body = (

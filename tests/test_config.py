@@ -185,7 +185,7 @@ class TestRangeErrors:
 class TestKernelConstruction:
     def test_bm(self, write_ini):
         cfg = load_config(write_ini("a.ini", "[kernel]\nkind = bm\n"))
-        assert isinstance(build_kernel(cfg), BrownianMotion)
+        assert build_kernel(cfg) == FractionalBM(0.5) == BrownianMotion()
 
     def test_fbm(self, write_ini):
         cfg = load_config(write_ini("b.ini", "[kernel]\nkind = fbm\nH = 0.6\n"))
@@ -196,14 +196,14 @@ class TestKernelConstruction:
     def test_fgn(self, write_ini):
         cfg = load_config(write_ini("c.ini", "[kernel]\nkind = fgn\nH = 0.75\nh = 0.5\n"))
         kernel = build_kernel(cfg)
-        assert isinstance(kernel, FractionalGaussianNoise)
-        assert (kernel.H, kernel.h) == (0.75, 0.5)
+        assert kernel == IncrementOf(FractionalBM(0.75), 0.5)
+        assert kernel == FractionalGaussianNoise(0.75, 0.5)
 
     def test_increment_of_bm(self, write_ini):
         cfg = load_config(write_ini("d.ini", "[kernel]\nkind = increment\nbase = bm\nh = 1.0\n"))
         kernel = build_kernel(cfg)
         assert isinstance(kernel, IncrementOf)
-        assert isinstance(kernel.base, BrownianMotion)
+        assert kernel.base == BrownianMotion()
 
     def test_increment_of_fbm(self, write_ini):
         cfg = load_config(write_ini(

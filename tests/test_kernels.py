@@ -1,4 +1,4 @@
-"""Covariance catalogue: closed-form anchors, symmetry, dispatch, errors."""
+"""Covariance catalogue: closed-form anchors, symmetry, constructors, errors."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from gaussmin import (
     BrownianMotion,
     DomainError,
+    FactorizationError,
     FractionalBM,
     FractionalGaussianNoise,
     GridError,
@@ -15,11 +16,6 @@ from gaussmin import (
     StationarityError,
     Tabulated,
     decomposition_residual,
-    eval_covariance,
-    gamma,
-    increment_function,
-    increment_function_d1,
-    increment_function_d2,
 )
 
 # anchors computed with 40-digit arithmetic, compared at float precision
@@ -130,36 +126,37 @@ class TestIncrementFunction:
     def test_values_and_slope_sign(self):
         k = FractionalGaussianNoise(0.75, 1.0)
         # f(t) = |t+1|^1.5 - |t|^1.5
-        assert increment_function(k, 1.0) == pytest.approx(2.0 ** 1.5 - 1.0, rel=1e-15)
-        assert increment_function(k, -0.5) == 0.0
+        assert k.increment(1.0) == pytest.approx(2.0 ** 1.5 - 1.0, rel=1e-15)
+        assert k.increment(-0.5) == 0.0
         t = np.array([-2.5, -1.7, -0.6, 0.3, 1.2])
-        assert np.all(increment_function_d1(k, t) > 0.0)
+        assert np.all(k.increment_d1(t) > 0.0)
 
     def test_d2_matches_finite_difference(self):
         k = FractionalGaussianNoise(0.8, 1.0)
         t = np.array([0.4, 1.3, -0.5, -2.0])
         eps = 1e-5
         fd = (
-            increment_function(k, t + eps)
-            - 2.0 * increment_function(k, t)
-            + increment_function(k, t - eps)
+            k.increment(t + eps)
+            - 2.0 * k.increment(t)
+            + k.increment(t - eps)
         ) / eps**2
         # atol floor sits above the 1e-16/eps^2 rounding noise of the stencil
-        assert np.allclose(increment_function_d2(k, t), fd, rtol=1e-4, atol=1e-5)
+        assert np.allclose(k.increment_d2(t), fd, rtol=1e-4, atol=1e-5)
 
     def test_singular_points_raise(self):
         k = FractionalGaussianNoise(0.75, 1.0)
         for bad in (0.0, -1.0):
             with pytest.raises(SingularityError):
-                increment_function_d1(k, bad)
+                k.increment_d1(bad)
             with pytest.raises(SingularityError):
-                increment_function_d2(k, np.array([0.5, bad]))
+                k.increment_d2(np.array([0.5, bad]))
 
     def test_non_increment_kernel_rejected(self):
-        with pytest.raises(TypeError):
-            increment_function(BrownianMotion(), 1.0)
-        with pytest.raises(TypeError):
-            increment_function_d1(FractionalBM(0.7), 1.0)
+        # only increment kernels carry a one-sided increment function
+        with pytest.raises(AttributeError):
+            BrownianMotion().increment(1.0)
+        with pytest.raises(AttributeError):
+            FractionalBM(0.7).increment_d1(1.0)
 
 
 class _QuarticBase(Kernel):
@@ -199,8 +196,8 @@ class TestIncrementOf:
         t = np.array([0.5, 1.5])
         expected_d1 = 4.0 * ((t + 1.0) ** 3 - t**3)
         expected_d2 = 12.0 * ((t + 1.0) ** 2 - t**2)
-        assert np.allclose(increment_function_d1(k, t), expected_d1, rtol=1e-6)
-        assert np.allclose(increment_function_d2(k, t), expected_d2, rtol=1e-4)
+        assert np.allclose(k.increment_d1(t), expected_d1, rtol=1e-6)
+        assert np.allclose(k.increment_d2(t), expected_d2, rtol=1e-4)
 
     def test_matches_four_term_covariance(self):
         base = FractionalBM(0.6)
@@ -251,12 +248,14 @@ class TestTabulated:
         with pytest.raises(GridError):
             Tabulated(nodes, np.eye(3))  # shape mismatch
 
+    def test_indefinite_matrix_rejected(self):
+        nodes = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(FactorizationError, match="semidefinite"):
+            Tabulated(nodes, -np.eye(3))
+        # rounding-level negative eigenvalues of a singular matrix pass
+        Tabulated(nodes, np.ones((3, 3)) - 1e-13 * np.eye(3))
+        Tabulated(nodes, np.zeros((3, 3)))
+
     def test_not_stationary(self):
         with pytest.raises(StationarityError):
             self._kernel().gamma(1.0)
-
-
-def test_eval_covariance_dispatch():
-    k = FractionalGaussianNoise(0.75, 1.0)
-    assert eval_covariance(k, 0.3, 1.3) == k.cov(0.3, 1.3)
-    assert gamma(k, 1.0) == k.gamma(1.0)

@@ -10,6 +10,7 @@ from gaussmin import (
     FractionalBM,
     FractionalGaussianNoise,
     Grid,
+    GridError,
     LdpEstimate,
     discretize,
     estimate_tail,
@@ -109,11 +110,13 @@ class TestSamplePaths:
 
 
 class TestEstimateTail:
-    def test_level_zero_single_node_is_half(self):
-        # single midpoint node: P(one centered Gaussian > 0) = 1/2
-        p_hat, hits = estimate_tail(BrownianMotion(), (1.0, 2.0), 1, 0.0, 100_000, seed=1)
-        assert hits == pytest.approx(50_000, abs=3 * 0.5 * np.sqrt(100_000))
-        assert p_hat == hits / 100_000
+    def test_level_zero_two_nodes_is_three_eighths(self):
+        # nodes 1 and 2 carry a centered bivariate normal with correlation
+        # 1/sqrt(2), so P(both > 0) = 1/4 + arcsin(1/sqrt(2)) / (2 pi) = 3/8
+        trials, p = 100_000, 3.0 / 8.0
+        p_hat, hits = estimate_tail(BrownianMotion(), (1.0, 2.0), 2, 0.0, trials, seed=1)
+        assert hits == pytest.approx(p * trials, abs=3 * np.sqrt(p * (1.0 - p) * trials))
+        assert p_hat == hits / trials
 
     def test_matches_transition_quadrature_oracle(self):
         # frozen reference: 1e6 paths on 200 nodes against the discrete
@@ -141,6 +144,8 @@ class TestEstimateTail:
             estimate_tail(BrownianMotion(), (1.0, 2.0), 3, 1.0, 0)
         with pytest.raises(ValueError, match="level"):
             estimate_tail(BrownianMotion(), (1.0, 2.0), 3, -0.5, 10)
+        with pytest.raises(GridError, match="2 nodes"):
+            estimate_tail(BrownianMotion(), (1.0, 2.0), 1, 0.0, 10)
 
 
 class TestLdpCurve:
