@@ -3,6 +3,11 @@
 BLAS thread pools read their env vars at load time, so this module must be
 imported before numpy.  It is effective when a process starts through the
 CLI or imports gaussmin first; best effort otherwise.
+
+The same cap sizes the Monte Carlo draw pool: WORKERS is GAUSSMIN_THREADS
+when that is a positive integer, but never more than os.cpu_count(), since
+each worker holds a batch of normals and more workers than cores draw no
+faster; os.cpu_count() when the cap is unset or not a positive integer.
 """
 
 import os
@@ -18,3 +23,15 @@ if _CAP and "numpy" not in sys.modules:
         "NUMEXPR_NUM_THREADS",
     ):
         os.environ.setdefault(_var, _CAP)
+
+
+def _workers(cap):
+    cores = os.cpu_count() or 1
+    try:
+        n = int(cap)
+    except (TypeError, ValueError):
+        return cores
+    return min(n, cores) if n > 0 else cores
+
+
+WORKERS = _workers(_CAP)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import audits
 from .config import build_kernel, load_config
-from .energy import check_optimality, energy, potential, rate
+from .energy import _rate, check_optimality, energy, potential
 from .errors import (
     ConfigError,
     DegenerateKernelError,
@@ -110,12 +110,6 @@ def _closed_form(kernel, cfg):
             f"twice the lag"
         )
     return None, "no closed-form template covers this kernel type"
-
-
-def _rate(sigma_sq):
-    # sigma_sq = 0 (a measure on nodes where the process vanishes, such as
-    # the origin for a pinned process) means P(min > u) = 0 for every u > 0
-    return rate(sigma_sq) if sigma_sq > 0.0 else float("-inf")
 
 
 def _interval_pairs(a, b):

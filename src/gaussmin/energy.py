@@ -103,3 +103,9 @@ def rate(sigma_sq):
     if not sigma_sq > 0.0:
         raise ValueError(f"variance must be positive, got {sigma_sq}")
     return -1.0 / (2.0 * sigma_sq)
+
+
+def _rate(sigma_sq):
+    # sigma_sq = 0 (a measure on nodes where the process vanishes, such as
+    # the origin for a pinned process) means P(min > u) = 0 for every u > 0
+    return rate(sigma_sq) if sigma_sq > 0.0 else float("-inf")

@@ -10,14 +10,24 @@ the Philox stream keyed by the seed, and normals come from Box-Muller on
 those uniforms (fixed consumption, no rejection).  Estimates therefore do
 not depend on batch size or evaluation schedule, and reruns with the same
 seed are bit-for-bit identical.
+
+That is what lets the draws run on threads: a pool of GAUSSMIN_THREADS
+workers (see _threads) draws whole batches of normals ahead,
+numpy releasing the interpreter lock inside the Philox and Box-Muller
+loops, while the calling thread takes the batches in trial order and
+multiplies them by the Cholesky factor.  A worker count of 1 runs the same
+loop, so every count of workers gives the same paths.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
+from .energy import _rate
 from .errors import FactorizationError
 from .measures import Grid
 from .solver import discretize
@@ -33,7 +43,9 @@ __all__ = [
 
 _MAX_JITTER = 1e-6
 _BASE_JITTER = 1e-12
-# paths per simulation batch are sized to keep the working set near 32 MB
+# paths per simulation batch are sized to keep one batch of normals near
+# 32 MB; up to workers + 1 batches are drawn ahead, so the working set is
+# about (workers + 1) * 32 MB
 _BATCH_DOUBLES = 4_000_000
 
 
@@ -77,13 +89,20 @@ def normal_block(seed, start_trial, trials, draws_per_trial):
     stride = 4 * ((draws_per_trial + 3) // 4)
     bits = np.random.Philox(key=seed)
     bits.advance(start_trial * (stride // 4))
-    u = np.random.Generator(bits).random((trials, stride))
-    u1 = np.maximum(u[:, 0::2], 2.0**-53)  # Box-Muller needs log(u1) finite
-    u2 = u[:, 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty((trials, stride))
-    z[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[:, 1::2] = r * np.sin(2.0 * np.pi * u2)
+    z = np.random.Generator(bits).random((trials, stride))
+    # Box-Muller in place: r and theta are contiguous copies of the even
+    # and odd columns, and z's columns then take r cos(theta), r sin(theta).
+    # log stays on a contiguous array: numpy's SIMD log is not libm's, and
+    # which loop runs may depend on the strides
+    r = np.maximum(z[:, 0::2], 2.0**-53)  # Box-Muller needs log(u1) finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = z[:, 1::2] * (2.0 * np.pi)
+    np.cos(theta, out=z[:, 0::2])
+    np.sin(theta, out=z[:, 1::2])
+    z[:, 0::2] *= r
+    z[:, 1::2] *= r
     return z[:, :draws_per_trial]
 
 
@@ -92,15 +111,32 @@ def _path_batches(kernel, interval, n, trials, seed):
 
     Consecutive batches cover trials 0, 1, ..., trials - 1 in order; trial
     i is always built from normal_block row i, so the paths do not depend
-    on the batch size.
+    on the batch size.  Worker threads draw the normal blocks ahead while
+    this thread multiplies them by the factor; at most workers + 1 blocks
+    are submitted and not yet taken.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if trials < 1:
         raise ValueError("trials must be positive")
     factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
     batch = max(1, _BATCH_DOUBLES // n)
-    for start in range(0, trials, batch):
-        z = normal_block(seed, start, min(batch, trials - start), n)
-        yield z @ factor.T
+    starts = range(0, trials, batch)
+    workers = _threads.WORKERS
+    pool = ThreadPoolExecutor(workers)
+
+    def draw(start):
+        return pool.submit(normal_block, seed, start, min(batch, trials - start), n)
+
+    try:
+        blocks = collections.deque(map(draw, starts[: workers + 1]))
+        for k in range(len(starts)):
+            z = blocks.popleft().result()
+            if k + workers + 1 < len(starts):
+                blocks.append(draw(starts[k + workers + 1]))
+            yield z @ factor.T
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sample_paths(kernel, interval, n, trials, seed=0):
@@ -149,8 +185,8 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
     """Normalized log tail probabilities along increasing levels.
 
     All levels share one simulated sample set (common random numbers), so
-    p_hat is exactly nonincreasing in u.  Pass sigma_sq to attach the
-    theoretical limit -1 / (2 sigma_sq) for reporting.
+    p_hat is exactly nonincreasing in u.  Pass sigma_sq >= 0 to attach the
+    theoretical limit -1 / (2 sigma_sq) for reporting (-inf for zero).
     """
     u = np.asarray(list(u_list), dtype=float)
     if u.size == 0:
@@ -159,6 +195,8 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
         raise ValueError("levels must be positive")
     if np.any(np.diff(u) <= 0.0):
         raise ValueError("levels must be strictly increasing")
+    if sigma_sq is not None and not sigma_sq >= 0.0:
+        raise ValueError(f"sigma_sq must be nonnegative, got {sigma_sq}")
     hits = np.zeros(u.size, dtype=np.int64)
     for x in _path_batches(kernel, interval, n, trials, seed):
         hits += np.count_nonzero(x.min(axis=1)[:, None] > u, axis=0)
@@ -170,7 +208,6 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
     with np.errstate(divide="ignore"):
         sd = np.sqrt((1.0 - safe_p) / (safe_p * trials))
     ci = np.where(flagged, np.inf, 1.96 * sd)
-    theo = None if sigma_sq is None else -1.0 / (2.0 * sigma_sq)
     return LdpEstimate(
         interval=(float(interval[0]), float(interval[1])),
         n=n,
@@ -182,5 +219,5 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
         log_p_over_u2=log_p / u**2,
         ci_halfwidth=ci,
         flagged=flagged,
-        theoretical_rate=theo,
+        theoretical_rate=None if sigma_sq is None else _rate(sigma_sq),
     )

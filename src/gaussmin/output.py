@@ -69,11 +69,13 @@ def write_svg(path, x, y, title, ylabel=""):
     x0, x1 = float(x.min()), float(x.max())
     y0, y1 = float(y.min()), float(y.max())
     xspan = x1 - x0 or 1.0
-    yspan = y1 - y0 or 1.0
+    # a y-range at rounding level is drawn flat, not stretched to full height
+    flat = y1 - y0 <= 1e-12 * max(1.0, abs(y0), abs(y1))
     inner_w = _SVG_W - 2 * _MARGIN
     inner_h = _SVG_H - 2 * _MARGIN
     px = _MARGIN + (x - x0) / xspan * inner_w
-    py = _SVG_H - _MARGIN - (y - y0) / yspan * inner_h
+    rise = np.zeros_like(y) if flat else (y - y0) / (y1 - y0) * inner_h
+    py = _SVG_H - _MARGIN - rise
     points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
     left, right, bottom = _MARGIN, _SVG_W - _MARGIN, _SVG_H - _MARGIN
     parts = [

@@ -1,8 +1,15 @@
 """Monte Carlo engine: factorization, counter-based draws, tail estimates."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from gaussmin import _threads, montecarlo
 from gaussmin import (
     BrownianMotion,
     DiscretizedProblem,
@@ -20,6 +27,30 @@ from gaussmin import (
     sample_paths,
 )
 from oracles import discrete_min_tail, reflection_tail
+
+
+def _box_muller_oracle(seed, start_trial, trials, draws_per_trial):
+    # normal_block as it was before Box-Muller worked in place, frozen
+    stride = 4 * ((draws_per_trial + 3) // 4)
+    bits = np.random.Philox(key=seed)
+    bits.advance(start_trial * (stride // 4))
+    u = np.random.Generator(bits).random((trials, stride))
+    u1 = np.maximum(u[:, 0::2], 2.0**-53)
+    u2 = u[:, 1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty((trials, stride))
+    z[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
+    z[:, 1::2] = r * np.sin(2.0 * np.pi * u2)
+    return z[:, :draws_per_trial]
+
+
+def _serial_paths(kernel, interval, n, trials, seed, batch):
+    # the one-thread batch loop the draw pool replaced, frozen
+    factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
+    return np.concatenate([
+        normal_block(seed, start, min(batch, trials - start), n) @ factor.T
+        for start in range(0, trials, batch)
+    ])
 
 
 def _problem(matrix):
@@ -79,6 +110,12 @@ class TestNormalBlock:
 
     def test_shape(self):
         assert normal_block(0, 0, 13, 5).shape == (13, 5)
+
+    @pytest.mark.parametrize("draws", [1, 7, 201])
+    def test_matches_frozen_box_muller(self, draws):
+        np.testing.assert_array_equal(
+            normal_block(31, 57, 300, draws), _box_muller_oracle(31, 57, 300, draws)
+        )
 
     def test_moments(self):
         z = normal_block(2, 0, 4000, 6).ravel()
@@ -179,6 +216,14 @@ class TestLdpCurve:
         assert est.theoretical_rate is None
         est = ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, seed=0, sigma_sq=1.0)
         assert est.theoretical_rate == -0.5
+        # zero energy: the process can vanish, so P(min > u) = 0 for u > 0
+        est = ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, seed=0, sigma_sq=0.0)
+        assert est.theoretical_rate == -np.inf
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_negative_or_nan_energy_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigma_sq"):
+            ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, sigma_sq=bad)
 
     def test_metadata_fields(self):
         est = ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, seed=5)
@@ -210,6 +255,109 @@ class TestLdpCurve:
         assert np.count_nonzero(coarse_min > u) >= np.count_nonzero(fine_min > u)
 
 
+class TestDrawPool:
+    """Normals drawn on worker threads give the one-thread stream.
+
+    With _BATCH_DOUBLES = 100 and n = 10 a batch is 10 rows, so 95 trials
+    make nine full batches and a ragged one of 5.
+    """
+
+    N, TRIALS, BATCH = 10, 95, 10
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCH_DOUBLES", 100)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_paths_and_hits_for_any_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(_threads, "WORKERS", workers)
+        kernel, interval, u = FractionalBM(0.75), (1.0, 2.0), [0.25, 0.5, 1.0]
+        want = _serial_paths(kernel, interval, self.N, self.TRIALS, 4, self.BATCH)
+        paths = sample_paths(kernel, interval, self.N, self.TRIALS, seed=4)
+        np.testing.assert_array_equal(paths, want)
+        est = ldp_curve(kernel, interval, self.N, u, self.TRIALS, seed=4)
+        hits = np.count_nonzero(want.min(axis=1)[:, None] > np.array(u), axis=0)
+        np.testing.assert_array_equal(est.hits, hits)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_look_ahead_is_bounded(self, monkeypatch, workers):
+        monkeypatch.setattr(_threads, "WORKERS", workers)
+        real = montecarlo.normal_block
+        received = 0
+        ahead = []  # per draw: its batch index minus the batches handed out
+
+        def recorder(seed, start_trial, trials, draws_per_trial):
+            ahead.append(start_trial // self.BATCH - received)
+            return real(seed, start_trial, trials, draws_per_trial)
+
+        monkeypatch.setattr(montecarlo, "normal_block", recorder)
+        for _ in montecarlo._path_batches(
+            BrownianMotion(), (1.0, 2.0), self.N, self.TRIALS, 0
+        ):
+            time.sleep(0.005)  # a slow consumer lets the workers run ahead
+            received += 1
+        assert received == len(ahead) == 10
+        assert max(ahead) <= workers + 1
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(_threads, "WORKERS", 2)
+        real = montecarlo.normal_block
+
+        def failing(seed, start_trial, trials, draws_per_trial):
+            if start_trial == 3 * self.BATCH:
+                raise RuntimeError("draw failed")
+            return real(seed, start_trial, trials, draws_per_trial)
+
+        monkeypatch.setattr(montecarlo, "normal_block", failing)
+        before = set(threading.enumerate())
+        raised = []
+
+        def call():
+            try:
+                ldp_curve(BrownianMotion(), (1.0, 2.0), self.N, [1.0], self.TRIALS)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert raised == ["draw failed"]
+        assert set(threading.enumerate()) <= before  # the pool's threads joined
+
+    @pytest.mark.parametrize("cap", [None, "", "0", "-2", "two"])
+    def test_worker_count_falls_back_to_cpu_count(self, cap):
+        assert _threads._workers(cap) == (os.cpu_count() or 1)
+
+    def test_worker_count_follows_the_cap_up_to_the_cores(self):
+        cores = os.cpu_count() or 1
+        assert _threads._workers("1") == 1
+        assert _threads._workers(str(cores + 5)) == cores
+
+    def test_cli_import_leaves_the_pool_module_unloaded(self):
+        # the executor is imported inside the Monte Carlo loop, so commands
+        # that never simulate do not pay for it at start-up
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        code = "import sys, gaussmin.cli; print('concurrent.futures' in sys.modules)"
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert res.stdout.strip() == "False"
+
+    def test_closing_early_joins_the_workers(self, monkeypatch):
+        monkeypatch.setattr(_threads, "WORKERS", 2)
+        before = set(threading.enumerate())
+        batches = montecarlo._path_batches(BrownianMotion(), (1.0, 2.0), self.N, self.TRIALS, 0)
+        next(batches)
+        batches.close()
+        assert set(threading.enumerate()) <= before
+
+
 class TestMeasuredLevels:
     """Normalized log tails at moderate levels, frozen from pilot runs.
 
@@ -234,3 +382,14 @@ class TestMeasuredLevels:
         est = ldp_curve(BrownianMotion(), (1.0, 2.0), 200, [2.5], 300_000, seed=11)
         assert not est.flagged[0]
         assert -1.06 <= est.log_p_over_u2[0] <= -0.98
+
+
+    def test_pinned_hit_vectors(self):
+        # the benchmark's simulate cases at seeds 22 and 23: exact hits
+        # guard the Philox stream, Box-Muller and the batch order
+        est = ldp_curve(
+            BrownianMotion(), (1.0, 2.0), 200, [1.0, 1.5, 2.0, 2.5], 200_000, seed=22
+        )
+        assert est.hits.tolist() == [12498, 4594, 1371, 335]
+        est = ldp_curve(BrownianMotion(), (1.0, 2.0), 1000, [1.0, 1.5, 2.0], 25_000, seed=23)
+        assert est.hits.tolist() == [1482, 540, 168]
