@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PinnedOriginError
+from .errors import DegenerateKernelError, PinnedOriginError
 from .measures import c_star
 
 __all__ = [
@@ -103,6 +103,8 @@ def audit_increment_monotone(kernel, t_range=None, samples=10_000, seed=0):
     lo, hi = t_range
     if not hi > lo:
         raise ValueError(f"empty sampling range {t_range}")
+    if not np.isfinite(hi - lo):
+        raise DegenerateKernelError(f"sampling range {t_range} overflows")
     rng = np.random.default_rng(seed)
     t = rng.uniform(lo, hi, size=samples)
     t = t[(np.abs(t) > 1e-9 * h) & (np.abs(t + h) > 1e-9 * h)]

@@ -22,13 +22,14 @@ one-line message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
 from . import audits
-from .config import build_kernel, load_config
+from .config import load_config
 from .energy import _rate, check_optimality, energy, potential
 from .errors import (
     ConfigError,
@@ -153,7 +154,7 @@ def _write_potential(out_dir, kernel, mu, grid):
 
 
 def cmd_rate(cfg, out_dir, args):
-    kernel = build_kernel(cfg)
+    kernel = cfg.kernel
     a, b = cfg.interval()
     if kernel.pinned_origin and a <= 0.0:
         raise ConfigError(
@@ -190,7 +191,7 @@ def cmd_rate(cfg, out_dir, args):
 
 
 def cmd_solve(cfg, out_dir, args):
-    kernel = build_kernel(cfg)
+    kernel = cfg.kernel
     a, b = cfg.interval()
     grid = Grid(a, b, cfg.n)
     problem = discretize(kernel, grid)
@@ -229,7 +230,7 @@ def cmd_solve(cfg, out_dir, args):
 def cmd_verify(cfg, out_dir, args):
     if not args.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
-    kernel = build_kernel(cfg)
+    kernel = cfg.kernel
     a, b = cfg.interval()
     mu = load_measure(args.measure)
     slack = 1e-12 * max(1.0, abs(a), abs(b))
@@ -280,7 +281,7 @@ def _applicable_audits(kernel, cfg):
 
 
 def cmd_assumptions(cfg, out_dir, args):
-    kernel = build_kernel(cfg)
+    kernel = cfg.kernel
     a, b = cfg.interval()
     reports = _applicable_audits(kernel, cfg)
     pairs = [
@@ -297,7 +298,7 @@ def cmd_assumptions(cfg, out_dir, args):
 
 
 def cmd_simulate(cfg, out_dir, args):
-    kernel = build_kernel(cfg)
+    kernel = cfg.kernel
     a, b = cfg.interval()
     if cfg.u_list is None or cfg.trials is None:
         raise ConfigError("simulate needs [mc] u_list and trials")
@@ -369,7 +370,7 @@ def _figure_grids(h):
 
 
 def cmd_figures(cfg, out_dir, args):
-    kernel = build_kernel(cfg)
+    kernel = cfg.kernel
     if not isinstance(kernel, IncrementOf):
         raise ConfigError(
             "figures needs an increment-type kernel (fgn or increment)"
@@ -443,7 +444,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser():
+    # built on the first main() call, not at import, and reused after it;
+    # parse_args keeps no state between calls
     parser = _Parser(
         prog="gaussmin",
         description=(

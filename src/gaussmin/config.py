@@ -32,17 +32,19 @@ A run file looks like:
     dir = out
     formats = csv, svg
 
-Unknown sections or keys are rejected, every numeric field is range
-checked at load, and any referenced file must exist.  Commands requiring
-a section that is absent fail with ConfigError at dispatch.
+Unknown sections or keys are rejected, every numeric field must be finite
+and is range checked at load, and any referenced file must exist.
+Commands requiring a section that is absent fail with ConfigError at
+dispatch.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,7 +83,11 @@ _KERNEL_KINDS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated settings; optional groups are None when their section is absent."""
+    """Validated settings; optional groups are None when their section is absent.
+
+    `kernel` is the kernel built from `kernel_kind` and `kernel_params`;
+    load_config sets it, so commands never build (or read a table) twice.
+    """
 
     kernel_kind: str
     kernel_params: dict
@@ -101,6 +107,7 @@ class RunConfig:
     out_dir: str | None
     formats: tuple = ("csv",)
     base_dir: str = "."
+    kernel: object = field(default=None, compare=False, repr=False)
 
     def interval(self):
         if self.a is None or self.b is None:
@@ -110,9 +117,12 @@ class RunConfig:
 
 def _parse_float(section, key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+    return value
 
 
 def _parse_int(section, key, raw):
@@ -171,6 +181,8 @@ def load_config(path):
         b = _parse_float("interval", "b", isec["b"])
         if not a < b:
             raise ConfigError(f"[interval] needs a < b, got [{a}, {b}]")
+        if not math.isfinite(b - a):
+            raise ConfigError(f"[interval] width b - a overflows, got [{a}, {b}]")
 
     n = 401
     if parser.has_section("grid") and "n" in parser["grid"]:
@@ -224,6 +236,8 @@ def load_config(path):
                 raise ConfigError("[mc] u_list must be comma-separated numbers") from None
             if not u_list:
                 raise ConfigError("[mc] u_list must not be empty")
+            if not all(map(math.isfinite, u_list)):
+                raise ConfigError("[mc] u_list must be finite")
             if any(u <= 0 for u in u_list) or any(
                 y <= x for x, y in zip(u_list, u_list[1:])
             ):
@@ -270,8 +284,8 @@ def load_config(path):
         formats=formats,
         base_dir=base_dir,
     )
-    build_kernel(cfg)  # fail fast on bad kernel parameters or missing files
-    return cfg
+    # fail fast on bad kernel parameters or missing files, and keep the kernel
+    return replace(cfg, kernel=build_kernel(cfg))
 
 
 def _require(params, kind, *names):
@@ -331,29 +345,66 @@ def build_kernel(cfg):
 def load_tabulated_matrix(path, n):
     """Read an (i, j, value) CSV into a dense n x n matrix.
 
-    Every pair must appear exactly once; indexes are 0-based.
+    Every pair must appear exactly once; indexes are 0-based.  A nan value
+    leaves its pair unset.  The first defective line in file order is the
+    one reported.
     """
     if not os.path.exists(path):
         raise ConfigError(f"tabulated kernel file not found: {path}")
+    # parse up to the first unparsable row (a range or duplicate defect on an
+    # earlier line still wins); rows stream into lists of plain numbers, so
+    # no per-row container outlives its line or wakes the cyclic GC
+    linenos, ii, jj, values, parse_error = [], [], [], [], None
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header] != ["i", "j", "value"]:
+                raise ConfigError(f"{path}: expected header 'i,j,value'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    parse_error = f"{path}:{lineno}: expected three fields"
+                    break
+                try:
+                    i, j, value = int(row[0]), int(row[1]), float(row[2])
+                except ValueError:
+                    parse_error = f"{path}:{lineno}: malformed row"
+                    break
+                linenos.append(lineno)
+                ii.append(i)
+                jj.append(j)
+                values.append(value)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read tabulated kernel file {path}: {exc}") from exc
+    # numpy widens indexes beyond int64 to float or object, never wraps them
+    i, j = np.array(ii), np.array(jj)
+    outside = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
+    stop = int(outside[0]) if outside.size else len(linenos)
+    keys = i[:stop].astype(np.int64) * n + j[:stop].astype(np.int64)
+    values = np.array(values[:stop], dtype=float)
+    isset = ~np.isnan(values)
+    # a row repeats its pair when an earlier row of the pair set a value:
+    # sort rows by pair (stable, so file order within a pair) and count the
+    # value-setting rows ahead of each one in its run of equal pairs
+    order = np.argsort(keys, kind="stable")
+    set_sorted = isset[order]
+    set_before = np.cumsum(set_sorted) - set_sorted
+    run_start = np.diff(keys[order], prepend=-1) != 0
+    first = np.maximum.accumulate(np.where(run_start, np.arange(stop), 0))
+    repeats = order[set_before > set_before[first]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise ConfigError(f"{path}:{linenos[k]}: duplicate entry ({ii[k]}, {jj[k]})")
+    if outside.size:
+        raise ConfigError(
+            f"{path}:{linenos[stop]}: index ({ii[stop]}, {jj[stop]}) outside 0..{n - 1}"
+        )
+    if parse_error is not None:
+        raise ConfigError(parse_error)
     matrix = np.full((n, n), np.nan)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or [c.strip() for c in rows[0]] != ["i", "j", "value"]:
-        raise ConfigError(f"{path}: expected header 'i,j,value'")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ConfigError(f"{path}:{lineno}: expected three fields")
-        try:
-            i, j, value = int(row[0]), int(row[1]), float(row[2])
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: malformed row") from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise ConfigError(f"{path}:{lineno}: index ({i}, {j}) outside 0..{n - 1}")
-        if not np.isnan(matrix[i, j]):
-            raise ConfigError(f"{path}:{lineno}: duplicate entry ({i}, {j})")
-        matrix[i, j] = value
+    matrix.flat[keys[isset]] = values[isset]  # unique pairs, so no write order
     if np.any(np.isnan(matrix)):
         i, j = np.argwhere(np.isnan(matrix))[0]
         raise ConfigError(f"{path}: missing entry ({i}, {j})")

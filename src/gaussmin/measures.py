@@ -234,7 +234,7 @@ def load_measure(path):
     try:
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read measure file {path}: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["location", "weight"]:
         raise ConfigError(f"{path}: expected header 'location,weight'")

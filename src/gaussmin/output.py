@@ -28,10 +28,12 @@ __all__ = [
 
 def format_value(value):
     """Shortest exact decimal for floats, str() for everything else."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
+    # floats first, the common cell: np.float64 subclasses float, and
+    # neither bool nor np.bool_ does
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
@@ -41,7 +43,7 @@ def write_csv(path, header, rows):
     """Write rows of scalars under a header line; returns the path."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_value(cell) for cell in row))
+        lines.append(",".join(map(format_value, row)))
     _atomic_write_text(path, "\n".join(lines) + "\n")
     return path
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import EmptyMeasureError
+from .errors import DegenerateKernelError, EmptyMeasureError
 from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
@@ -59,18 +59,28 @@ def discretize(kernel, grid):
 
     Stationary kernels take the n values Gamma(t - t[0]) on the uniform grid
     and expand them to the symmetric Toeplitz matrix; other kernels are
-    evaluated on grid x grid and symmetrized at rounding level.
+    evaluated on grid x grid and symmetrized at rounding level.  A matrix
+    with non-finite entries (the kernel overflows at the grid's scale)
+    raises DegenerateKernelError.
     """
     t = grid.nodes
-    if kernel.stationary:
-        lags = np.asarray(kernel.gamma(t - t[0]), dtype=float)
-        # row i of the reversed windows over (c_{n-1}, ..., c_1, c_0, ..., c_{n-1})
-        # is c_{|i - j|}, j = 0..n-1
-        both = np.concatenate((lags[:0:-1], lags))
-        matrix = np.ascontiguousarray(sliding_window_view(both, t.size)[::-1])
-    else:
-        matrix = np.asarray(kernel.cov(t[:, None], t[None, :]), dtype=float)
-        matrix = 0.5 * (matrix + matrix.T)
+    # an overflow is reported once, as the error below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel.stationary:
+            lags = np.asarray(kernel.gamma(t - t[0]), dtype=float)
+            finite = np.isfinite(lags).all()
+            # row i of the reversed windows over (c_{n-1}, ..., c_1, c_0, ..., c_{n-1})
+            # is c_{|i - j|}, j = 0..n-1
+            both = np.concatenate((lags[:0:-1], lags))
+            matrix = np.ascontiguousarray(sliding_window_view(both, t.size)[::-1])
+        else:
+            matrix = np.asarray(kernel.cov(t[:, None], t[None, :]), dtype=float)
+            matrix = 0.5 * (matrix + matrix.T)
+            finite = np.isfinite(matrix).all()
+    if not finite:
+        raise DegenerateKernelError(
+            f"covariance overflows on the grid over [{t[0]}, {t[-1]}]"
+        )
     matrix.flags.writeable = False
     return DiscretizedProblem(grid=grid, matrix=matrix)
 

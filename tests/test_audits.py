@@ -129,6 +129,12 @@ class TestIncrementMonotone:
                 FractionalGaussianNoise(0.75, 1.0), t_range=(1.0, 1.0)
             )
 
+    @pytest.mark.parametrize("h", [3e307, 1e308])
+    def test_overflowing_range_is_degenerate(self, h):
+        # the default range (-4h, 4h) has no finite width to sample from
+        with pytest.raises(DegenerateKernelError, match="overflows"):
+            audit_increment_monotone(FractionalGaussianNoise(0.75, h))
+
 
 class TestFirstCase:
     def test_passes_for_concave_increment_function(self):

@@ -2,12 +2,14 @@
 
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import parse_pairs
-from gaussmin import load_measure
+from gaussmin import cli, config, load_measure
 
 THREE_POINT_SIGMA_SQ = 0.5744706733790146
 THREE_POINT_RATE = -0.8703664489242229
@@ -171,6 +173,55 @@ class TestSolve:
         assert "positive semidefinite" in err
 
 
+class TestExtremeValues:
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("interval", [("1e300", "2e300"), ("1", "1e308")])
+    def test_overflowing_covariance_exits_five(self, run_cli, write_ini, command, interval):
+        # finite endpoints, but the fgn covariance overflows on the grid
+        body = (
+            "[kernel]\nkind = fgn\nH = 0.75\nh = 1.0\n"
+            f"[interval]\na = {interval[0]}\nb = {interval[1]}\n[grid]\nn = 11\n"
+            "[mc]\nu_list = 1.0, 2.0\ntrials = 10\n"
+        )
+        code, out, err = run_cli(command, "--config", write_ini("s.ini", body))
+        assert code == 5
+        assert out == ""
+        assert err.startswith("numerical failure: covariance overflows")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["rate", "solve", "assumptions", "simulate"])
+    @pytest.mark.parametrize(("section", "msg"), [
+        ("[interval]\na = 0.0\nb = inf\n", "[interval] b must be finite"),
+        ("[interval]\na = -inf\nb = 1.0\n", "[interval] a must be finite"),
+        ("[interval]\na = -1e308\nb = 1e308\n", "[interval] width b - a overflows"),
+        ("[interval]\na = 0.0\nb = 2.0\n[solver]\ntol = nan\n", "[solver] tol must be finite"),
+        ("[interval]\na = 0.0\nb = 2.0\n[solver]\ntol = inf\n", "[solver] tol must be finite"),
+    ], ids=["b_inf", "a_minus_inf", "width_overflows", "tol_nan", "tol_inf"])
+    def test_rejected_at_load(self, run_cli, write_ini, command, section, msg):
+        body = (
+            "[kernel]\nkind = fgn\nH = 0.75\nh = 1.0\n" + section
+            + "[mc]\nu_list = 1.0, 2.0\ntrials = 10\n"
+        )
+        code, out, err = run_cli(command, "--config", write_ini("n.ini", body))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: " + msg)
+        assert err.count("\n") == 1
+
+    def test_infinite_lag_rejected_at_load(self, run_cli, write_ini):
+        body = "[kernel]\nkind = fgn\nH = 0.75\nh = inf\n[interval]\na = 0.0\nb = 2.0\n"
+        code, _, err = run_cli("rate", "--config", write_ini("n.ini", body))
+        assert code == 4
+        assert "[kernel] h must be finite" in err
+
+    def test_overflowing_audit_range_exits_five(self, run_cli, write_ini):
+        # the lag is finite, but the +-4h sampling range of the audit is not
+        body = "[kernel]\nkind = increment\nbase = bm\nh = 1e308\n[interval]\na = 0.0\nb = 1.0\n"
+        code, out, err = run_cli("assumptions", "--config", write_ini("n.ini", body))
+        assert (code, out) == (5, "")
+        assert err.startswith("numerical failure: sampling range")
+
+
 class TestVerify:
     def _measure_csv(self, tmp_path, locations, weights):
         path = tmp_path / "mu.csv"
@@ -254,6 +305,38 @@ class TestVerify:
         assert code == 4
         assert out == ""
         assert "--tol must be positive" in err
+
+    def test_unreadable_measure_file_rejected(self, run_cli, write_ini, tmp_path):
+        mu = tmp_path / "mu.csv"
+        mu.write_bytes(b"location,weight\n\xff\xfe,1\n")
+        code, out, err = run_cli(
+            "verify", "--config", write_ini("v.ini", BM_INTERVAL), "--measure", mu
+        )
+        assert (code, out) == (4, "")
+        assert "cannot read measure file" in err
+
+    def test_tabulated_verify_reads_the_table_once(
+        self, run_cli, write_ini, tmp_path, monkeypatch
+    ):
+        reads = []
+        load = config.load_tabulated_matrix
+        monkeypatch.setattr(
+            config, "load_tabulated_matrix", lambda *args: reads.append(args) or load(*args)
+        )
+        (tmp_path / "m.csv").write_text(
+            "i,j,value\n" + "".join(
+                f"{i},{j},{1.0 + min(i, j)!r}\n" for i in range(3) for j in range(3)
+            )
+        )
+        body = (
+            "[kernel]\nkind = tabulated\npath = m.csv\n"
+            "[interval]\na = 0.0\nb = 1.0\n[grid]\nn = 3\n"
+        )
+        mu = self._measure_csv(tmp_path, [0.0], [1.0])
+        code, out, _ = run_cli("verify", "--config", write_ini("t.ini", body), "--measure", mu)
+        assert code == 0
+        assert float(parse_pairs(out)["sigma_sq"]) == 1.0
+        assert len(reads) == 1
 
     def test_loose_tolerance_accepts_near_optimum(self, run_cli, write_ini, tmp_path):
         mu = self._measure_csv(tmp_path, [0.0, 1.0, 2.0], [0.36, 0.28, 0.36])
@@ -450,6 +533,29 @@ class TestFigures:
 
 
 class TestInvocation:
+    def test_parser_reused_without_state(self, run_cli, write_ini, tmp_path):
+        mu = tmp_path / "mu.csv"
+        mu.write_text("location,weight\n1.0,1.0\n")
+        cfg = write_ini("v.ini", BM_INTERVAL)
+        first = run_cli("verify", "--config", cfg, "--measure", mu, "--tol", "1e-3")
+        second = run_cli("verify", "--config", cfg, "--measure", mu)
+        assert parse_pairs(first[1])["tolerance"] == "0.001"
+        assert parse_pairs(second[1])["tolerance"] == "1e-08"
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import gaussmin.cli as c; print(c._build_parser.cache_info().currsize)"
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert res.stdout.strip() == "0"
+
     def test_missing_config_file(self, run_cli, tmp_path):
         code, _, err = run_cli("rate", "--config", tmp_path / "absent.ini")
         assert code == 4

@@ -1,9 +1,14 @@
 """Run-file parsing: schema enforcement, defaults, kernel construction."""
 
+import csv
+import dataclasses
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmin import (
     BrownianMotion,
@@ -175,6 +180,16 @@ class TestRangeErrors:
         ("[mc]\ntrials = 0\n", "trials must be positive"),
         ("[mc]\nseed = -2\n", "seed must be nonnegative"),
         ("[mc]\nsigma_sq = 0\n", "sigma_sq must be positive"),
+        ("[interval]\na = 0.0\nb = inf\n", r"\[interval\] b must be finite"),
+        ("[interval]\na = -inf\nb = 1.0\n", r"\[interval\] a must be finite"),
+        ("[interval]\na = nan\nb = 1.0\n", r"\[interval\] a must be finite"),
+        ("[interval]\na = -1e308\nb = 1e308\n", r"\[interval\] width b - a overflows"),
+        ("[solver]\ntol = nan\n", "tol must be finite"),
+        ("[solver]\ntol = inf\n", "tol must be finite"),
+        ("[mc]\nsigma_sq = inf\n", "sigma_sq must be finite"),
+        ("[mc]\nsigma_sq = nan\n", "sigma_sq must be finite"),
+        ("[mc]\nu_list = 1.0, inf\n", "u_list must be finite"),
+        ("[mc]\nu_list = nan\n", "u_list must be finite"),
         ("[output]\nformats = csv, pdf\n", "unknown formats"),
     ])
     def test_rejected(self, write_ini, body, msg):
@@ -224,11 +239,72 @@ class TestKernelConstruction:
         ("kind = fbm\nH = 1.5\n", "invalid kernel parameters"),
         ("kind = fgn\nH = 0.75\nh = -1.0\n", "invalid kernel parameters"),
         ("kind = tabulated\n", "needs parameter 'path'"),
+        ("kind = fgn\nH = 0.75\nh = inf\n", r"\[kernel\] h must be finite"),
+        ("kind = fbm\nH = nan\n", r"\[kernel\] H must be finite"),
     ])
     def test_bad_kernel_blocks_load(self, write_ini, body, msg):
         # load_config builds the kernel once to fail fast
         with pytest.raises(ConfigError, match=msg):
             load_config(write_ini("f.ini", "[kernel]\n" + body))
+
+
+class TestKernelKept:
+    def test_config_carries_its_kernel(self, write_ini):
+        cfg = load_config(write_ini("c.ini", "[kernel]\nkind = fgn\nH = 0.75\nh = 0.5\n"))
+        assert cfg.kernel == build_kernel(cfg) == FractionalGaussianNoise(0.75, 0.5)
+        # the kernel is derived from the other fields, so equality ignores it
+        assert cfg == dataclasses.replace(cfg, kernel=None)
+
+
+def _reference_load(path, n):
+    """The row-by-row loader load_tabulated_matrix replaced, as the reference."""
+    matrix = np.full((n, n), np.nan)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    if not rows or [c.strip() for c in rows[0]] != ["i", "j", "value"]:
+        raise ConfigError(f"{path}: expected header 'i,j,value'")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected three fields")
+        try:
+            i, j, value = int(row[0]), int(row[1]), float(row[2])
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: malformed row") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise ConfigError(f"{path}:{lineno}: index ({i}, {j}) outside 0..{n - 1}")
+        if not np.isnan(matrix[i, j]):
+            raise ConfigError(f"{path}:{lineno}: duplicate entry ({i}, {j})")
+        matrix[i, j] = value
+    if np.any(np.isnan(matrix)):
+        i, j = np.argwhere(np.isnan(matrix))[0]
+        raise ConfigError(f"{path}: missing entry ({i}, {j})")
+    return matrix
+
+
+def _outcome(load, path, n):
+    try:
+        return load(path, n).tobytes()
+    except ConfigError as exc:
+        return str(exc)
+
+
+INDEXES = ["0", "1", "2", "-1", " 1", "99999999999999999999", "1.0", "x"]
+VALUES = ["0.5", "-0.0", "nan", "inf", "1e-320", "x", ""]
+
+
+@st.composite
+def tables(draw):
+    """A full 2 x 2 table in any order, with a few rows added or dropped."""
+    rows = draw(st.permutations([f"{i},{j},{0.25 * (1 + i + j)!r}" for i in range(2) for j in range(2)]))
+    for _ in range(draw(st.integers(0, 3))):
+        fields = [draw(st.sampled_from(INDEXES)), draw(st.sampled_from(INDEXES)), draw(st.sampled_from(VALUES))]
+        row = ",".join(fields[: draw(st.sampled_from([3, 3, 3, 2, 4]))]) if draw(st.integers(0, 5)) else ""
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if draw(st.booleans()):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    return "i,j,value\n" + "\n".join(rows) + "\n"
 
 
 class TestTabulated:
@@ -269,6 +345,59 @@ class TestTabulated:
         path.write_text(rows)
         with pytest.raises(ConfigError, match=msg):
             load_tabulated_matrix(str(path), 2)
+
+    @pytest.mark.parametrize(("rows", "msg"), [
+        # two defects: the earlier line decides
+        ("i,j,value\n0,0,1.0\n0,0,1.0\n0,5,1.0\n", r"bad\.csv:3: duplicate entry \(0, 0\)"),
+        ("i,j,value\n0,5,1.0\n0,0,1.0\n0,0,1.0\n", r"bad\.csv:2: index \(0, 5\) outside 0\.\.1"),
+        ("i,j,value\n0,0,1.0\n0,0,1.0\n0,1,abc\n", r"bad\.csv:3: duplicate entry \(0, 0\)"),
+        ("i,j,value\n0,0,1.0\n0,1\n0,0,1.0\n", r"bad\.csv:3: expected three fields"),
+        # a nan value leaves its pair unset, so a later row may set it
+        ("i,j,value\n0,0,nan\n0,0,1.0\n0,1,0.0\n1,0,0.0\n1,1,nan\n", r"missing entry \(1, 1\)$"),
+        ("i,j,value\n0,0,1.0\n0,0,nan\n", r"bad\.csv:3: duplicate entry \(0, 0\)"),
+        # blank lines count toward line numbers
+        ("i,j,value\n\n0,0,1.0\n0,0,1.0\n", r"bad\.csv:4: duplicate entry \(0, 0\)"),
+        # an index past int64 is reported as written
+        ("i,j,value\n0,0,1.0\n99999999999999999999,0,1.0\n", r"bad\.csv:3: index \(99999999999999999999, 0\)"),
+        ("i,j,value\n", r"missing entry \(0, 0\)$"),
+        ("i,j,value\n1,2,1.0\n", r"bad\.csv:2: index \(1, 2\) outside"),
+    ], ids=[
+        "duplicate_before_range", "range_before_duplicate", "duplicate_before_malformed",
+        "arity_before_duplicate", "nan_leaves_unset", "nan_repeats_set", "blank_line", "huge_index",
+        "header_only", "first_row_outside",
+    ])
+    def test_first_defect_in_file_order_wins(self, tmp_path, rows, msg):
+        path = tmp_path / "bad.csv"
+        path.write_text(rows)
+        with pytest.raises(ConfigError, match=msg):
+            load_tabulated_matrix(str(path), 2)
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"i,j,value\n\xff\xfe,0,1.0\n")
+        with pytest.raises(ConfigError, match="cannot read tabulated kernel file"):
+            load_tabulated_matrix(str(path), 2)
+        with pytest.raises(ConfigError, match="cannot read tabulated kernel file"):
+            load_tabulated_matrix(str(tmp_path), 2)
+
+    def test_n201_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((201, 201)) * np.pi
+        matrix[0, 1], matrix[2, 3], matrix[4, 5] = -0.0, 5e-324, 1.7976931348623157e308
+        rows = [f"{i},{j},{float(matrix[i, j])!r}" for i in range(201) for j in range(201)]
+        rng.shuffle(rows)  # row order does not matter
+        path = tmp_path / "m.csv"
+        path.write_text("i,j,value\n" + "\n".join(rows) + "\n")
+        assert load_tabulated_matrix(str(path), 201).tobytes() == matrix.tobytes()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(tables())
+    def test_matches_row_by_row_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w") as handle:
+                handle.write(text)
+            assert _outcome(load_tabulated_matrix, path, 2) == _outcome(_reference_load, path, 2)
 
     def test_path_resolves_against_config_dir(self, tmp_path, write_ini):
         sub = tmp_path / "sub"

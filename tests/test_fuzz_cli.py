@@ -4,14 +4,17 @@ Random run files, tables, measures and flags go through `cli.main` for all
 six commands.  Most draws are valid run files, so the numerical paths run
 (closed forms, the solver, the audits, Monte Carlo, the figures); the rest
 carry one defect: a malformed or out-of-range value, a missing section, an
-unknown key, a bad table or measure file, or a bad flag.  The contract: the
-exit code is one of 0, 2, 3, 4, 5, and no exception escapes.  Sizes stay
-small (n <= 41, trials <= 200, max_iter <= 2000) so the sweep takes seconds.
+unknown key, a bad table or measure file, or a bad flag.  Endpoints and
+the lag also take extreme values (infinite, nan, or finite near the top of
+the float range, where covariances overflow).  The contract: the exit code
+is one of 0, 2, 3, 4, 5, and no exception escapes.  Sizes stay small
+(n <= 41, trials <= 200, max_iter <= 2000) so the sweep takes seconds.
 """
 
 import contextlib
 import copy
 import io
+import math
 import os
 import tempfile
 
@@ -25,6 +28,8 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 
 # malformed or out-of-range replacements for any one value of a run file
 BAD_VALUES = ("", "abc", "-1", "0", "2", "nan", "inf", "1e400", "pdf")
+# endpoint and lag values at or past the edge of the float range
+EXTREMES = (float("inf"), float("-inf"), float("nan"), 1e300, 1e308, -1e308)
 
 
 def _kernel_section(draw, kind, H, h):
@@ -65,7 +70,9 @@ def _measure(draw, a, b):
     if kind == "garbage":
         return draw(st.sampled_from(["", "x\n", "location,weight\n1\n", "location,weight\n0,0\n"]))
     atoms = draw(st.integers(1, 3))
-    locs = [draw(st.floats(a, b)) for _ in range(atoms)]
+    # an interval the run file rejects still gets a measure file
+    span = st.floats(a, b) if math.isfinite(a) and math.isfinite(b) and a <= b else st.just(a)
+    locs = [draw(span) for _ in range(atoms)]
     if kind == "outside":
         locs[0] = b + 1.0
     weights = [draw(st.floats(0.1, 1.0)) for _ in range(atoms)]
@@ -79,10 +86,11 @@ def _measure(draw, a, b):
 def invocations(draw):
     """One run file per kernel kind around shared draws, plus the other files."""
     H = draw(st.one_of(st.sampled_from([0.3, 0.5, 0.75]), st.floats(0.05, 0.95)))
-    h = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.1, 2.0)))
-    a = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 3.0)))
+    h = draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.1, 2.0), st.sampled_from(EXTREMES)))
+    a = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 3.0), st.sampled_from(EXTREMES)))
     # widths of h and 2h are where the two- and three-point closed forms apply
-    b = a + draw(st.one_of(st.sampled_from([h, 2.0 * h, 0.5 * h]), st.floats(0.1, 3.0)))
+    width = draw(st.one_of(st.sampled_from([h, 2.0 * h, 0.5 * h]), st.floats(0.1, 3.0)))
+    b = draw(st.one_of(st.just(a + width), st.just(2.0 * a), st.sampled_from(EXTREMES)))
     n = draw(st.integers(2, 41))
     sections = {
         "kernel": {},
@@ -141,7 +149,7 @@ def invocations(draw):
     return texts, files, extra, tol
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(invocations())
 def test_every_input_gets_a_documented_exit_code(invocation):
     texts, files, extra, tol = invocation

@@ -1,11 +1,11 @@
-"""SVG writer: data coordinates to pixels."""
+"""Writers: cell formatting, CSV tables, SVG data coordinates to pixels."""
 
 import re
 
 import numpy as np
 import pytest
 
-from gaussmin.output import write_svg
+from gaussmin.output import format_value, write_csv, write_svg
 
 
 def _pixels(path):
@@ -23,3 +23,25 @@ def test_curve_flat_up_to_rounding_is_drawn_flat(tmp_path, c):
 def test_curve_spans_the_plot_height(tmp_path):
     path = write_svg(tmp_path / "line.svg", [0.0, 1.0, 2.0], [1.0, 1.5, 2.0], "line")
     assert [py for _, py in _pixels(path)] == [440.0, 250.0, 60.0]
+
+
+@pytest.mark.parametrize(("value", "text"), [
+    (0.1, "0.1"),
+    (np.float64(0.1), "0.1"),
+    (np.float32(0.5), "0.5"),
+    (-0.0, "-0.0"),
+    (float("-inf"), "-inf"),
+    (True, "True"),
+    (np.bool_(False), "False"),
+    (7, "7"),
+    (np.int64(-3), "-3"),
+    ("left_endpoint", "left_endpoint"),
+])
+def test_format_value(value, text):
+    assert format_value(value) == text
+
+
+def test_csv_rows_render_cell_by_cell(tmp_path):
+    rows = [(np.float64(1.5), np.int64(2), np.bool_(True)), (0.1, 3, "x")]
+    path = write_csv(tmp_path / "t.csv", ("a", "b", "c"), rows)
+    assert path.read_text() == "a,b,c\n1.5,2,True\n0.1,3,x\n"
