@@ -10,8 +10,8 @@ independent ways and cross-checks them:
   ``energy``),
 * a discretized pairwise Frank-Wolfe solver with an active-set polish
   and an equilibrium certificate (``solver``),
-* counter-based Monte Carlo estimation of the tail itself
-  (``montecarlo``).
+* crude Monte Carlo estimation of the tail itself, drawn from one
+  seeded stream per fixed block of trials (``montecarlo``).
 
 The covariance kernels (``kernels``) are three classes: ``FractionalBM``,
 ``IncrementOf`` (stationary lag-h increments of a pinned base) and

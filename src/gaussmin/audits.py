@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateKernelError, PinnedOriginError
+from .kernels import finite_values
 from .measures import c_star
 
 __all__ = [
@@ -78,8 +79,9 @@ def audit_nonneg_increments(kernel, a, b, samples=10_000, seed=0):
     rng = np.random.default_rng(seed)
     q = np.sort(rng.uniform(a, b, size=(samples, 4)), axis=1)
     s1, t1, s2, t2 = q.T
-    value = (
-        kernel.cov(t1, t2) - kernel.cov(t1, s2) - kernel.cov(s1, t2) + kernel.cov(s1, s2)
+    value = finite_values(
+        lambda: kernel.cov(t1, t2) - kernel.cov(t1, s2) - kernel.cov(s1, t2) + kernel.cov(s1, s2),
+        f"increment covariance overflows on [{a}, {b}]",
     )
     k = int(np.argmin(value))
     worst = float(value[k])
@@ -108,7 +110,9 @@ def audit_increment_monotone(kernel, t_range=None, samples=10_000, seed=0):
     rng = np.random.default_rng(seed)
     t = rng.uniform(lo, hi, size=samples)
     t = t[(np.abs(t) > 1e-9 * h) & (np.abs(t + h) > 1e-9 * h)]
-    d1 = kernel.increment_d1(t)
+    d1 = finite_values(
+        lambda: kernel.increment_d1(t), f"f' overflows on the sampling range {t_range}"
+    )
     k = int(np.argmin(d1))
     worst = float(d1[k])
     note = ""
@@ -148,7 +152,10 @@ def audit_first_case(kernel, b_samples=11, t_samples=400, t_max=None):
     for b in b_values:
         mask = (t_nodes > step) & (np.abs(t_nodes - b) > step)
         t = t_nodes[mask]
-        total = kernel.increment_d2(t) + kernel.increment_d2(t - b)
+        total = finite_values(
+            lambda: kernel.increment_d2(t) + kernel.increment_d2(t - b),
+            f"f'' overflows on (0, {t_max})",
+        )
         k = int(np.argmax(total))
         if float(total[k]) > worst:
             worst = float(total[k])
@@ -181,7 +188,10 @@ def audit_second_case(kernel, h, n=512):
     cstar = c_star(kernel, h)  # DegenerateKernelError propagates
     step = h / (n + 1)
     t = np.linspace(step, h - step, n)
-    curve = kernel.gamma(t) + cstar * kernel.gamma(h - t) + kernel.gamma(2.0 * h - t)
+    curve = finite_values(
+        lambda: kernel.gamma(t) + cstar * kernel.gamma(h - t) + kernel.gamma(2.0 * h - t),
+        f"three-point potential overflows on (0, {h})",
+    )
     diffs = np.diff(curve)
     scale = max(1.0, float(np.max(np.abs(curve))))
     signs = np.sign(diffs)
@@ -224,7 +234,10 @@ def audit_converse(kernel, a, b, n=1001):
             "the endpoint-Dirac converse check does not apply"
         )
     t = np.linspace(a, b, n)
-    margin = kernel.cov(np.full_like(t, a), t) - kernel.cov(a, a)
+    margin = finite_values(
+        lambda: kernel.cov(np.full_like(t, a), t) - kernel.cov(a, a),
+        f"covariance overflows on [{a}, {b}]",
+    )
     k = int(np.argmin(margin))
     worst = float(margin[k])
     return AssumptionReport(

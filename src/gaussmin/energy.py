@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import finite_values
 from .measures import Grid
 
 __all__ = [
@@ -32,14 +33,19 @@ __all__ = [
 
 def _potential_at(kernel, mu, points):
     points = np.asarray(points, dtype=float)
-    cross = kernel.cov(mu.locations[:, None], points[None, :])
-    return mu.weights @ cross
+    return finite_values(
+        lambda: mu.weights @ kernel.cov(mu.locations[:, None], points[None, :]),
+        "potential of the measure overflows",
+    )
 
 
 def energy(kernel, mu):
     """Double integral of the covariance against mu x mu."""
-    matrix = kernel.cov(mu.locations[:, None], mu.locations[None, :])
-    return float(mu.weights @ matrix @ mu.weights)
+    locations = mu.locations
+    return float(finite_values(
+        lambda: mu.weights @ kernel.cov(locations[:, None], locations[None, :]) @ mu.weights,
+        "energy of the measure overflows",
+    ))
 
 
 @dataclass(frozen=True, eq=False)

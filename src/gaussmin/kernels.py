@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateKernelError,
     DomainError,
     FactorizationError,
     GridError,
@@ -89,6 +90,21 @@ def _check_not_singular(t, h):
         raise SingularityError(
             f"derivative of the increment function is singular at t in {{0, {-h}}}"
         )
+
+
+def finite_values(compute, message):
+    """Return compute() after checking that every value is finite.
+
+    A kernel evaluated beyond the float range gives inf and nan, and
+    comparisons against nan would silently decide audits and certificates.
+    numpy's overflow warnings are silenced inside compute, and a non-finite
+    value raises DegenerateKernelError(message) instead, once.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = compute()
+    if not np.isfinite(values).all():
+        raise DegenerateKernelError(message)
+    return values
 
 
 class Kernel:

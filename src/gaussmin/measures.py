@@ -31,6 +31,7 @@ from .errors import (
     GridError,
     IntervalError,
 )
+from .kernels import finite_values
 
 __all__ = [
     "Grid",
@@ -179,9 +180,10 @@ def c_star(kernel, h):
     Requires a stationary kernel; a kernel with Gamma(h) = Gamma(0) leaves
     the ratio undefined and raises DegenerateKernelError.
     """
-    g0 = kernel.gamma(0.0)
-    gh = kernel.gamma(h)
-    g2h = kernel.gamma(2.0 * h)
+    g0, gh, g2h = finite_values(
+        lambda: (kernel.gamma(0.0), kernel.gamma(h), kernel.gamma(2.0 * h)),
+        f"autocovariance overflows at lag {h} or {2.0 * h}",
+    )
     den = gh - g0
     if den == 0.0:
         raise DegenerateKernelError(

@@ -5,18 +5,21 @@ paths whose minimum over the nodes exceeds u, and watch the normalized
 log-probability log p / u^2 drift toward the theoretical rate
 -1 / (2 sigma*^2).
 
-Draws are counter-based: trial i consumes a fixed, pre-assigned block of
-the Philox stream keyed by the seed, and normals come from Box-Muller on
-those uniforms (fixed consumption, no rejection).  Estimates therefore do
-not depend on batch size or evaluation schedule, and reruns with the same
-seed are bit-for-bit identical.
+Draws come in fixed blocks of trials: block k holds trials
+[k * rows, (k + 1) * rows), with rows fixed by the number of draws per
+trial, and is drawn row by row by numpy's ziggurat sampler (Marsaglia &
+Tsang, J. Stat. Softw. 5, 2000) from its own stream,
+SFC64(SeedSequence(seed, spawn_key=(k,))).  Every trial's normals are
+therefore fixed by the seed and the trial index: estimates do not depend
+on batch size or evaluation schedule, and reruns with the same seed are
+bit-for-bit identical.
 
 That is what lets the draws run on threads: a pool of GAUSSMIN_THREADS
-workers (see _threads) draws whole batches of normals ahead,
-numpy releasing the interpreter lock inside the Philox and Box-Muller
-loops, while the calling thread takes the batches in trial order and
-multiplies them by the Cholesky factor.  A worker count of 1 runs the same
-loop, so every count of workers gives the same paths.
+workers (see _threads) draws whole blocks of normals ahead, numpy
+releasing the interpreter lock inside the ziggurat loop, while the calling
+thread takes the blocks in trial order and multiplies them by the Cholesky
+factor.  A worker count of 1 runs the same loop, so every count of workers
+gives the same paths.
 """
 
 from __future__ import annotations
@@ -74,53 +77,56 @@ def factorize(problem, jitter=0.0):
     )
 
 
+def _block_rows(draws_per_trial):
+    # trials per block of normals, which is also the batch of paths
+    # _path_batches multiplies at once: about _BATCH_DOUBLES normals
+    return max(1, _BATCH_DOUBLES // draws_per_trial)
+
+
 def normal_block(seed, start_trial, trials, draws_per_trial):
     """Standard normals for trials [start_trial, start_trial + trials).
 
-    Trial i owns uniforms [i * stride, (i+1) * stride) of the Philox
-    stream keyed by seed, with stride = draws_per_trial rounded up to
-    even; Box-Muller turns each uniform pair into two normals.  The
-    mapping from (seed, trial, coordinate) to value is fixed, so any
-    batching schedule produces identical numbers.
+    Trials fall in fixed blocks of rows = max(1, _BATCH_DOUBLES //
+    draws_per_trial): block k holds trials [k * rows, (k + 1) * rows) and is
+    drawn row by row with numpy's ziggurat from its own generator,
+    Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))).  A call that
+    starts inside a block first draws and drops that block's earlier rows,
+    so the mapping from (seed, trial, coordinate) to value is fixed and any
+    split of the trials into calls produces identical numbers.
     """
-    # stride must be a whole number of Philox counter blocks (4 words of
-    # 64 bits, one word per uniform) so trials map to disjoint counter
-    # ranges; advance() steps the counter in whole blocks
-    stride = 4 * ((draws_per_trial + 3) // 4)
-    bits = np.random.Philox(key=seed)
-    bits.advance(start_trial * (stride // 4))
-    z = np.random.Generator(bits).random((trials, stride))
-    # Box-Muller in place: r and theta are contiguous copies of the even
-    # and odd columns, and z's columns then take r cos(theta), r sin(theta).
-    # log stays on a contiguous array: numpy's SIMD log is not libm's, and
-    # which loop runs may depend on the strides
-    r = np.maximum(z[:, 0::2], 2.0**-53)  # Box-Muller needs log(u1) finite
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = z[:, 1::2] * (2.0 * np.pi)
-    np.cos(theta, out=z[:, 0::2])
-    np.sin(theta, out=z[:, 1::2])
-    z[:, 0::2] *= r
-    z[:, 1::2] *= r
-    return z[:, :draws_per_trial]
+    rows = _block_rows(draws_per_trial)
+    z = np.empty((trials, draws_per_trial))
+    trial, stop = start_trial, start_trial + trials
+    while trial < stop:
+        k, skip = divmod(trial, rows)
+        take = min(rows - skip, stop - trial)
+        stream = np.random.SeedSequence(seed, spawn_key=(k,))
+        gen = np.random.Generator(np.random.SFC64(stream))
+        if skip:
+            gen.standard_normal(skip * draws_per_trial)
+        row = trial - start_trial
+        gen.standard_normal(out=z[row : row + take])
+        trial += take
+    return z
 
 
 def _path_batches(kernel, interval, n, trials, seed):
     """Simulated paths on the n grid nodes of interval, in batches of rows.
 
-    Consecutive batches cover trials 0, 1, ..., trials - 1 in order; trial
-    i is always built from normal_block row i, so the paths do not depend
-    on the batch size.  Worker threads draw the normal blocks ahead while
-    this thread multiplies them by the factor; at most workers + 1 blocks
-    are submitted and not yet taken.
+    Yields (paths, jitter) pairs, jitter being the diagonal shift the
+    Cholesky factor needed.  Consecutive batches cover trials 0, 1, ...,
+    trials - 1 in order, one normal_block block each; trial i is always
+    built from normal_block row i, so the paths do not depend on the batch
+    size.  Worker threads draw the blocks ahead while this thread
+    multiplies them by the factor; at most workers + 1 blocks are submitted
+    and not yet taken.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if trials < 1:
         raise ValueError("trials must be positive")
-    factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
-    batch = max(1, _BATCH_DOUBLES // n)
+    factor, jitter = factorize(discretize(kernel, Grid(*interval, n)))
+    batch = _block_rows(n)
     starts = range(0, trials, batch)
     workers = _threads.WORKERS
     pool = ThreadPoolExecutor(workers)
@@ -134,14 +140,14 @@ def _path_batches(kernel, interval, n, trials, seed):
             z = blocks.popleft().result()
             if k + workers + 1 < len(starts):
                 blocks.append(draw(starts[k + workers + 1]))
-            yield z @ factor.T
+            yield z @ factor.T, jitter
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def sample_paths(kernel, interval, n, trials, seed=0):
     """Simulate `trials` paths on n >= 2 grid nodes; rows are paths."""
-    return np.concatenate(list(_path_batches(kernel, interval, n, trials, seed)))
+    return np.concatenate([x for x, _ in _path_batches(kernel, interval, n, trials, seed)])
 
 
 def estimate_tail(kernel, interval, n, u, trials, seed=0):
@@ -154,7 +160,7 @@ def estimate_tail(kernel, interval, n, u, trials, seed=0):
         raise ValueError(f"level must be nonnegative, got {u}")
     hits = sum(
         int(np.count_nonzero(x.min(axis=1) > u))
-        for x in _path_batches(kernel, interval, n, trials, seed)
+        for x, _ in _path_batches(kernel, interval, n, trials, seed)
     )
     return hits / trials, hits
 
@@ -165,7 +171,9 @@ class LdpEstimate:
 
     For levels with zero hits, log_p falls back to log(1/trials) and the
     level is flagged.  ci_halfwidth is the 95% normal-approximation
-    halfwidth on the log scale, infinite for zero-hit levels.
+    halfwidth on the log scale, infinite for zero-hit levels.  jitter is
+    the diagonal shift the Cholesky factor of the grid covariance needed
+    (see factorize); it is diagnostic and no command prints it.
     """
 
     interval: tuple
@@ -178,6 +186,7 @@ class LdpEstimate:
     log_p_over_u2: np.ndarray
     ci_halfwidth: np.ndarray
     flagged: np.ndarray
+    jitter: float
     theoretical_rate: float | None = None
 
 
@@ -198,7 +207,7 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
     if sigma_sq is not None and not sigma_sq >= 0.0:
         raise ValueError(f"sigma_sq must be nonnegative, got {sigma_sq}")
     hits = np.zeros(u.size, dtype=np.int64)
-    for x in _path_batches(kernel, interval, n, trials, seed):
+    for x, jitter in _path_batches(kernel, interval, n, trials, seed):
         hits += np.count_nonzero(x.min(axis=1)[:, None] > u, axis=0)
     p_hat = hits / trials
     flagged = hits == 0
@@ -219,5 +228,6 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
         log_p_over_u2=log_p / u**2,
         ci_halfwidth=ci,
         flagged=flagged,
+        jitter=jitter,
         theoretical_rate=None if sigma_sq is None else _rate(sigma_sq),
     )

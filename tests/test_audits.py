@@ -136,6 +136,21 @@ class TestIncrementMonotone:
             audit_increment_monotone(FractionalGaussianNoise(0.75, h))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("audit", [
+    lambda: audit_nonneg_increments(FractionalBM(0.75), 1e300, 2e300, samples=50),
+    lambda: audit_converse(FractionalBM(0.75), 1e300, 2e300, n=11),
+    # f' and f'' blow up near the singular points of a tiny, rough lag
+    lambda: audit_increment_monotone(FractionalGaussianNoise(0.01, 1e-320), samples=2000),
+    lambda: audit_first_case(FractionalGaussianNoise(0.1, 1e-300), b_samples=2),
+], ids=["nonneg_increments", "converse", "increment_monotone", "first_case"])
+def test_overflowing_samples_are_degenerate(audit):
+    # the sampled quantities overflow; nan must not decide pass or fail (the
+    # first-case audit used to pass with worst -inf at a nan witness)
+    with pytest.raises(DegenerateKernelError, match="overflows"):
+        audit()
+
+
 class TestFirstCase:
     def test_passes_for_concave_increment_function(self):
         report = audit_first_case(FractionalGaussianNoise(0.75, 1.0))

@@ -214,6 +214,29 @@ class TestExtremeValues:
         assert code == 4
         assert "[kernel] h must be finite" in err
 
+    @pytest.mark.filterwarnings("error")  # an overflow warning escapes main
+    @pytest.mark.parametrize(("command", "body"), [
+        ("rate", "[kernel]\nkind = fbm\nH = 0.75\n[interval]\na = 1e300\nb = 2e300\n"),
+        ("assumptions", "[kernel]\nkind = fbm\nH = 0.75\n[interval]\na = 1e300\nb = 2e300\n"),
+        (
+            "rate",
+            "[kernel]\nkind = increment\nbase = bm\nh = 1e308\n[interval]\na = 0.0\nb = 1e308\n",
+        ),
+        (
+            "simulate",
+            "[kernel]\nkind = increment\nbase = bm\nh = 1e308\n[interval]\na = 0.0\nb = 1e308\n"
+            "[mc]\nu_list = 1.0\ntrials = 10\n",
+        ),
+    ], ids=["rate_fbm", "assumptions_fbm", "rate_increment", "simulate_increment"])
+    def test_covariance_overflow_in_a_check_exits_five(self, run_cli, write_ini, command, body):
+        # finite run-file numbers whose covariances overflow inside the
+        # audits or the optimality check, where nan comparisons used to
+        # decide the exit code
+        code, out, err = run_cli(command, "--config", write_ini("o.ini", body))
+        assert (code, out) == (5, "")
+        assert err.startswith("numerical failure: ")
+        assert err.count("\n") == 1
+
     def test_overflowing_audit_range_exits_five(self, run_cli, write_ini):
         # the lag is finite, but the +-4h sampling range of the audit is not
         body = "[kernel]\nkind = increment\nbase = bm\nh = 1e308\n[interval]\na = 0.0\nb = 1.0\n"
@@ -401,6 +424,21 @@ class TestSimulate:
         assert len(rows) == 2
         p = [float(r[3]) for r in rows]
         assert p[0] >= p[1]
+
+    def test_jitter_stays_out_of_the_outputs(self, run_cli, write_ini, tmp_path):
+        # the Cholesky factor on this nearly constant window needs jitter
+        out_dir = tmp_path / "out"
+        body = (
+            "[kernel]\nkind = fgn\nH = 0.9\nh = 1.0\n[interval]\na = 0.0\nb = 1e-6\n"
+            "[grid]\nn = 100\n[mc]\nu_list = 1.0, 1.5\ntrials = 100\n"
+        )
+        code, out, err = run_cli(
+            "simulate", "--config", write_ini("j.ini", body), "--out", out_dir
+        )
+        assert (code, err) == (0, "")
+        assert "jitter" not in out
+        for name in os.listdir(out_dir):
+            assert "jitter" not in (out_dir / name).read_text()
 
     def test_sigma_sq_override(self, run_cli, write_ini):
         body = BM_INTERVAL + "[grid]\nn = 10\n[mc]\nu_list = 1.0\ntrials = 100\nsigma_sq = 0.6\n"

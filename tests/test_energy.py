@@ -5,6 +5,7 @@ import pytest
 
 from gaussmin import (
     BrownianMotion,
+    DegenerateKernelError,
     DiscreteMeasure,
     FractionalBM,
     FractionalGaussianNoise,
@@ -157,6 +158,15 @@ class TestCheckOptimality:
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             check_optimality(BrownianMotion(), dirac(1.0), Grid(1.0, 2.0, 3), tol=tol)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_covariance_is_degenerate(self):
+        # |s - t|^1.5 overflows at this scale, so every potential is nan
+        kernel, grid = FractionalBM(0.75), Grid(1e300, 2e300, 5)
+        with pytest.raises(DegenerateKernelError, match="overflows"):
+            check_optimality(kernel, dirac(1e300), grid)
+        with pytest.raises(DegenerateKernelError, match="overflows"):
+            potential(kernel, dirac(1.0), grid)
 
 
 class TestRate:

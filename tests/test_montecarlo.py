@@ -29,19 +29,16 @@ from gaussmin import (
 from oracles import discrete_min_tail, reflection_tail
 
 
-def _box_muller_oracle(seed, start_trial, trials, draws_per_trial):
-    # normal_block as it was before Box-Muller worked in place, frozen
-    stride = 4 * ((draws_per_trial + 3) // 4)
-    bits = np.random.Philox(key=seed)
-    bits.advance(start_trial * (stride // 4))
-    u = np.random.Generator(bits).random((trials, stride))
-    u1 = np.maximum(u[:, 0::2], 2.0**-53)
-    u2 = u[:, 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty((trials, stride))
-    z[:, 0::2] = r * np.cos(2.0 * np.pi * u2)
-    z[:, 1::2] = r * np.sin(2.0 * np.pi * u2)
-    return z[:, :draws_per_trial]
+def _ziggurat_oracle(seed, start_trial, trials, draws_per_trial, rows):
+    # per-block SFC64 ziggurat stream, frozen: trial i is row i % rows of
+    # block i // rows, which is drawn whole from its own spawned seed
+    def block(k):
+        bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
+        return np.random.Generator(bits).standard_normal((rows, draws_per_trial))
+
+    trial_ids = range(start_trial, start_trial + trials)
+    blocks = {k: block(k) for k in {i // rows for i in trial_ids}}
+    return np.array([blocks[i // rows][i % rows] for i in trial_ids])
 
 
 def _serial_paths(kernel, interval, n, trials, seed, batch):
@@ -111,11 +108,29 @@ class TestNormalBlock:
     def test_shape(self):
         assert normal_block(0, 0, 13, 5).shape == (13, 5)
 
+    @pytest.mark.parametrize("batch_doubles", [100, 4_000_000])
     @pytest.mark.parametrize("draws", [1, 7, 201])
-    def test_matches_frozen_box_muller(self, draws):
+    def test_matches_frozen_ziggurat_blocks(self, monkeypatch, batch_doubles, draws):
+        # at 100 doubles a block is 100, 14 or 1 trials: trials 57..356 start
+        # inside a block and cross block boundaries
+        monkeypatch.setattr(montecarlo, "_BATCH_DOUBLES", batch_doubles)
+        rows = max(1, batch_doubles // draws)
         np.testing.assert_array_equal(
-            normal_block(31, 57, 300, draws), _box_muller_oracle(31, 57, 300, draws)
+            normal_block(31, 57, 300, draws), _ziggurat_oracle(31, 57, 300, draws, rows)
         )
+
+    @pytest.mark.parametrize("draws", [1, 3, 10, 150])
+    def test_splits_straddling_blocks_equal_the_whole_draw(self, monkeypatch, draws):
+        # at 30 doubles a block is 30, 10, 3 or 1 trials, so every cut below
+        # starts or ends a call inside a block or on a boundary between two
+        monkeypatch.setattr(montecarlo, "_BATCH_DOUBLES", 30)
+        full = normal_block(3, 0, 100, draws)
+        for cuts in ([1, 29, 31, 59, 61], [9, 11, 45, 70], [99]):
+            edges = [0, *cuts, 100]
+            parts = np.vstack([
+                normal_block(3, lo, hi - lo, draws) for lo, hi in zip(edges, edges[1:])
+            ])
+            np.testing.assert_array_equal(full, parts)
 
     def test_moments(self):
         z = normal_block(2, 0, 4000, 6).ravel()
@@ -225,6 +240,15 @@ class TestLdpCurve:
         with pytest.raises(ValueError, match="sigma_sq"):
             ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, sigma_sq=bad)
 
+    def test_jitter_is_reported(self):
+        # a 1e-6 window of fgn H = 0.9 is nearly constant: the Cholesky
+        # factor needs a diagonal shift, which the estimate carries
+        kernel, interval = FractionalGaussianNoise(0.9, 1.0), (0.0, 1e-6)
+        est = ldp_curve(kernel, interval, 100, [1.0], 100, seed=0)
+        _, used = factorize(discretize(kernel, Grid(*interval, 100)))
+        assert est.jitter == used > 0.0
+        assert ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100).jitter == 0.0
+
     def test_metadata_fields(self):
         est = ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, seed=5)
         assert isinstance(est, LdpEstimate)
@@ -273,6 +297,22 @@ class TestDrawPool:
         monkeypatch.setattr(_threads, "WORKERS", workers)
         kernel, interval, u = FractionalBM(0.75), (1.0, 2.0), [0.25, 0.5, 1.0]
         want = _serial_paths(kernel, interval, self.N, self.TRIALS, 4, self.BATCH)
+        paths = sample_paths(kernel, interval, self.N, self.TRIALS, seed=4)
+        np.testing.assert_array_equal(paths, want)
+        est = ldp_curve(kernel, interval, self.N, u, self.TRIALS, seed=4)
+        hits = np.count_nonzero(want.min(axis=1)[:, None] > np.array(u), axis=0)
+        np.testing.assert_array_equal(est.hits, hits)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_call_across_every_block_gives_the_pool_paths(self, monkeypatch, workers):
+        monkeypatch.setattr(_threads, "WORKERS", workers)
+        kernel, interval, u = FractionalBM(0.75), (1.0, 2.0), [0.25, 0.5, 1.0]
+        factor, _ = factorize(discretize(kernel, Grid(*interval, self.N)))
+        z = normal_block(4, 0, self.TRIALS, self.N)
+        want = np.concatenate([
+            z[start : start + self.BATCH] @ factor.T
+            for start in range(0, self.TRIALS, self.BATCH)
+        ])
         paths = sample_paths(kernel, interval, self.N, self.TRIALS, seed=4)
         np.testing.assert_array_equal(paths, want)
         est = ldp_curve(kernel, interval, self.N, u, self.TRIALS, seed=4)
@@ -386,10 +426,10 @@ class TestMeasuredLevels:
 
     def test_pinned_hit_vectors(self):
         # the benchmark's simulate cases at seeds 22 and 23: exact hits
-        # guard the Philox stream, Box-Muller and the batch order
+        # guard the per-block SFC64 ziggurat stream and the batch order
         est = ldp_curve(
             BrownianMotion(), (1.0, 2.0), 200, [1.0, 1.5, 2.0, 2.5], 200_000, seed=22
         )
-        assert est.hits.tolist() == [12498, 4594, 1371, 335]
+        assert est.hits.tolist() == [12382, 4579, 1438, 357]
         est = ldp_curve(BrownianMotion(), (1.0, 2.0), 1000, [1.0, 1.5, 2.0], 25_000, seed=23)
-        assert est.hits.tolist() == [1482, 540, 168]
+        assert est.hits.tolist() == [1528, 544, 164]
