@@ -46,9 +46,11 @@ __all__ = [
 
 _MAX_JITTER = 1e-6
 _BASE_JITTER = 1e-12
-# paths per simulation batch are sized to keep one batch of normals near
-# 32 MB; up to workers + 1 batches are drawn ahead, so the working set is
-# about (workers + 1) * 32 MB
+# paths per simulation batch, which is one block of the normal stream, are
+# sized to keep one batch of normals near 32 MB; up to workers + 1 batches
+# are drawn ahead, so the working set is about (workers + 1) * 32 MB.  The
+# block size fixes which stream each trial draws from: changing this
+# constant changes the numbers a seed gives
 _BATCH_DOUBLES = 4_000_000
 
 
@@ -78,8 +80,7 @@ def factorize(problem, jitter=0.0):
 
 
 def _block_rows(draws_per_trial):
-    # trials per block of normals, which is also the batch of paths
-    # _path_batches multiplies at once: about _BATCH_DOUBLES normals
+    # trials per block of normals, and per batch of paths
     return max(1, _BATCH_DOUBLES // draws_per_trial)
 
 
