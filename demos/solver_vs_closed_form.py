@@ -1,8 +1,9 @@
 """Discretized solve against the exact three-point answer.
 
-The pairwise Frank-Wolfe solver knows nothing about the closed forms;
-it just minimizes w' M w over the probability simplex on a grid.  On an
-interval of twice the lag it should rediscover the three-atom measure.
+The active-set solver knows nothing about the closed forms; it just
+minimizes w' M w over the probability simplex on a grid, a few rounds of
+equilibrium solves on a growing support.  On an interval of twice the lag
+it should rediscover the three-atom measure, whose atoms are grid nodes.
 """
 
 import numpy as np

@@ -8,8 +8,8 @@ independent ways and cross-checks them:
 
 * closed-form minimizers for the catalogued kernels (``measures``,
   ``energy``),
-* a discretized pairwise Frank-Wolfe solver with an active-set polish
-  and an equilibrium certificate (``solver``),
+* a discretized primal active-set solver with an equilibrium
+  certificate (``solver``),
 * crude Monte Carlo estimation of the tail itself, drawn from one
   seeded stream per fixed block of trials (``montecarlo``).
 

@@ -1,4 +1,4 @@
-"""Pairwise Frank-Wolfe minimization of the covariance energy on the simplex.
+"""Active-set minimization of the covariance energy on the simplex.
 
 Discretizing the interval turns the measure problem into the quadratic
 program
@@ -14,17 +14,18 @@ is exactly twice the violation of the equilibrium optimality condition,
 so the certificate the solver reports is the quantity the theory pins down:
 energy - optimum <= equilibrium_gap for every feasible iterate.
 
-The solver starts at the best vertex (a Dirac measure at one node) and takes
-pairwise steps, moving weight from the active node with the largest gradient
-entry to the node with the smallest; unlike plain Frank-Wolfe this converges
-linearly on the simplex (Lacoste-Julien & Jaggi, "On the Global Linear
-Convergence of Frank-Wolfe Optimization Variants", NeurIPS 2015).  Every few
-steps a polish solves the equilibrium system
+The solver is a primal active-set method (Lawson & Hanson, "Solving Least
+Squares Problems", 1974, ch. 23; Wolfe, "Finding the nearest point in a
+polytope", Math. Prog. 11, 1976).  It starts at the best vertex (a Dirac
+measure at one node).  Each round adds nodes whose gradient entry lies
+below lam = <g, w> and solves the equilibrium system
 
-    M_SS w = lam 1,   sum w = 1
+    M_SS x = c 1,   sum x = 1       (c is then the energy of x)
 
-on the active set S directly, so the iterate lands on the minimizer as soon
-as the pairwise steps have found its support.
+on the enlarged support S, dropping nodes by a ratio test until the
+solution is positive.  A round adds every such node that is a local
+minimum of g along the grid, so a minimizer that fills the grid (rough
+kernels) is reached in a few rounds, not one node at a time.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ from .kernels import finite_values
 from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
-
-# refresh the maintained gradient to cap floating-point drift on long runs
-_REFRESH_EVERY = 8192
-# a polish follows at least this many iterations, and at least as many as the
-# support has nodes, so its O(k^3) solve costs O(k^2) per iteration
-_POLISH_EVERY = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +85,9 @@ class SolverResult:
     """Final iterate with its optimality certificate.
 
     converged is True exactly when equilibrium_gap <= the requested
-    tolerance; hitting max_iter first leaves converged False and the
-    caller decides what to do with the (still feasible) weights.
+    tolerance; hitting max_iter or a stalled round first leaves converged
+    False and the caller decides what to do with the (still feasible)
+    weights.
     energy_trace is populated only when solve(..., history=True).
     """
 
@@ -104,15 +100,19 @@ class SolverResult:
 
 
 def solve(problem, tol=1e-9, max_iter=200_000, history=False):
-    """Pairwise Frank-Wolfe with an active-set polish, from the best vertex.
+    """Primal active-set rounds from the best vertex.
 
     The start is the node with the smallest variance (lowest index on
-    ties).  A pairwise step moves weight from the active node with the
-    largest gradient entry to the node with the smallest (lowest index on
-    ties), with the exact minimizing step clamped to the donor's weight.
-    Every so often a polish replaces the pairwise step (see _polish and
-    _POLISH_EVERY).  Both kinds count as one iteration, and the energy
-    never increases from one iteration to the next.
+    ties).  A round adds nodes to the support and moves to the minimizer
+    of the energy on the face they span (see _face_minimum).  Normally it
+    adds every node whose gradient entry lies below lam = <g, w> and is a
+    local minimum of g along the grid.  After a round that did not lower
+    the energy it adds only argmin g, Lawson and Hanson's single step,
+    which lowers it whenever the gap is positive.  In exact arithmetic
+    every round lowers the energy, so no face repeats; in floating point a
+    round near the optimum can raise it at rounding level, and a
+    single-node round that leaves the weights unchanged ends the loop.
+    Each round counts as one iteration and adds one entry to energy_trace.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -128,25 +128,33 @@ def solve(problem, tol=1e-9, max_iter=200_000, history=False):
     trace = [energy] if history else None
 
     iterations = 0
-    since_polish = 0
+    single = False
     converged = False
     while iterations < max_iter:
+        lam = float(w @ g)
         s = int(np.argmin(g))
-        gap = float(w @ g) - float(g[s])
-        if gap <= tol:
+        if lam - float(g[s]) <= tol:
             converged = True
             break
         iterations += 1
-        since_polish += 1
-        if since_polish >= max(_POLISH_EVERY, np.count_nonzero(w)):
-            energy, g = _polish(M, w, g, energy)
-            since_polish = 0
+        if single:
+            added = [s]
         else:
-            energy = _pairwise_step(M, w, g, energy, s)
+            local = (g <= np.r_[np.inf, g[:-1]]) & (g <= np.r_[g[1:], np.inf])
+            added = np.flatnonzero(local & (g < lam))
+        face, x = _face_minimum(M, np.union1d(np.flatnonzero(w), added), w)
+        trial = np.zeros_like(w)
+        trial[face] = x
+        g = 2.0 * (x @ M[face])
+        trial_energy = 0.5 * float(x @ g[face])
+        # a single-node round that changes nothing would repeat forever
+        stalled = single and np.array_equal(trial, w)
+        single = not trial_energy < energy
+        w, energy = trial, trial_energy
         if trace is not None:
             trace.append(energy)
-        if iterations % _REFRESH_EVERY == 0:
-            g = 2.0 * (M @ w)
+        if stalled:
+            break
 
     # fresh certificate for the returned iterate
     g = 2.0 * (M @ w)
@@ -165,101 +173,59 @@ def solve(problem, tol=1e-9, max_iter=200_000, history=False):
     )
 
 
-def _pairwise_step(M, w, g, energy, s):
-    """Move weight from the worst active node to node s, in place.
+def _face_minimum(M, face, w):
+    """Minimize the energy over the simplex face spanned by the nodes in face.
 
-    Along d = e_s - e_v the energy changes by step * (step * curvature - slope)
-    with slope = g_v - g_s and curvature = d'Md; the exact minimizer is
-    clamped to w_v, and a donor emptied by the clamp leaves the active set.
-    Returns the new energy.
+    Starts from w, a probability vector supported inside face (nodes just
+    added carry weight 0).  Solves M_SS x = c 1, sum x = 1 on S = face
+    (least squares when the system is singular); if some x_i <= 0, it moves
+    from the current weights toward x up to the first weight that reaches
+    zero (a ratio test), drops that node and every other node left at zero
+    with x_i <= 0, and solves again.  Returns the final face and its
+    weights, summing to one: x once it is positive, or the current weights
+    if the system yields non-finite values.
     """
-    active = np.flatnonzero(w)
-    v = int(active[np.argmax(g[active])])
-    slope = float(g[v]) - float(g[s])
-    if slope <= 0.0:
-        # slope >= gap > tol, so only rounding in g can land here
-        return energy
-    curvature = float(M[s, s]) + float(M[v, v]) - 2.0 * float(M[s, v])
-    donor = float(w[v])
-    step = donor if curvature <= 0.0 else min(donor, slope / (2.0 * curvature))
-    energy += step * (step * curvature - slope)
-    w[s] += step
-    w[v] = 0.0 if step == donor else donor - step
-    g += (2.0 * step) * (M[s] - M[v])
-    return energy
-
-
-def _polish(M, w, g, energy):
-    """Move toward the equilibrium solution on the support, in place.
-
-    Solves M_SS x = lam 1, sum x = 1 on the support S of w (least squares
-    when the system is singular) and moves from w toward x, stopping where
-    the first weight reaches zero.  The move is kept only if the energy does
-    not rise.  Returns the energy and the gradient of the resulting iterate.
-    """
-    support = np.flatnonzero(w)
-    k = support.size
-    kkt = np.ones((k + 1, k + 1))
-    kkt[:k, :k] = M[np.ix_(support, support)]
-    kkt[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    try:
-        target = np.linalg.solve(kkt, rhs)[:k]
-    except np.linalg.LinAlgError:
-        target = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-    current = w[support]
-    direction = target - current
-    if not np.all(np.isfinite(direction)):
-        return energy, g
-    shrinking = np.flatnonzero(direction < 0.0)
-    trial = target
-    if shrinking.size:
-        ratios = current[shrinking] / -direction[shrinking]
+    cur = w[face]
+    while True:
+        k = face.size
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = M[np.ix_(face, face)]
+        kkt[k, k] = 0.0
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        try:
+            x = np.linalg.solve(kkt, rhs)[:k]
+        except np.linalg.LinAlgError:
+            x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        if not np.all(np.isfinite(x)):
+            break
+        if np.all(x > 0.0):
+            cur = x
+            break
+        blocking = np.flatnonzero(x <= 0.0)
+        c = cur[blocking]
+        # a node at zero blocks at once; the quotient there would be 0/0
+        ratios = np.divide(c, c - x[blocking], out=np.zeros_like(c), where=c > 0.0)
         first = int(np.argmin(ratios))
-        if ratios[first] < 1.0:
-            trial = current + ratios[first] * direction
-            trial[shrinking[first]] = 0.0
-    # clear rounding below zero and keep the weights on the simplex
-    trial = np.maximum(trial, 0.0)
-    trial /= trial.sum()
-    trial_g = 2.0 * (trial @ M[support])
-    trial_energy = 0.5 * float(trial @ trial_g[support])
-    if not trial_energy <= energy:
-        return energy, g
-    w[support] = trial
-    return trial_energy, trial_g
+        cur = cur + ratios[first] * (x - cur)
+        cur[blocking[first]] = 0.0
+        keep = (x > 0.0) | (cur > 0.0)
+        face, cur = face[keep], cur[keep]
+    return face, cur / cur.sum()
 
 
 def extract_measure(result, grid, prune=1e-4):
     """Turn solver weights into a sparse measure.
 
-    Nodes with weight <= prune are dropped, the survivors are renormalized,
-    and runs of grid-adjacent survivors collapse to a single atom at their
-    weight-weighted centroid.  prune must lie in [0, 0.01]; pruning
-    everything raises EmptyMeasureError.
+    Nodes with weight <= prune are dropped and the survivors, renormalized,
+    are the atoms, one per node, so the measure's energy is the solver's
+    up to the pruned mass.  prune must lie in [0, 0.01]; pruning everything
+    raises EmptyMeasureError.
     """
     if not 0.0 <= prune <= 0.01:
         raise ValueError(f"prune must lie in [0, 0.01], got {prune}")
     w = np.asarray(result.weights, dtype=float)
-    nodes = grid.nodes
     keep = np.flatnonzero(w > prune)
     if keep.size == 0:
         raise EmptyMeasureError("every node weight fell at or below the threshold")
-    w = w[keep] / np.sum(w[keep])
-
-    locations, weights = [], []
-    run_w = w[0]
-    run_x = nodes[keep[0]] * w[0]
-    for prev, idx, wx in zip(keep[:-1], keep[1:], w[1:]):
-        if idx - prev == 1:
-            run_w += wx
-            run_x += nodes[idx] * wx
-        else:
-            locations.append(run_x / run_w)
-            weights.append(run_w)
-            run_w = wx
-            run_x = nodes[idx] * wx
-    locations.append(run_x / run_w)
-    weights.append(run_w)
-    return DiscreteMeasure(np.array(locations), np.array(weights))
+    return DiscreteMeasure(grid.nodes[keep], w[keep] / np.sum(w[keep]))

@@ -2,14 +2,17 @@
 
 Nothing here reuses the library's energy, solver, or sampling code: the
 Brownian tail oracles are one-dimensional integrations built on the
-reflection principle and the Markov property, and the brute-force
-minimizer is exhaustive search.  Slow and obvious beats fast and shared.
+reflection principle and the Markov property, the brute-force minimizer
+is exhaustive search, and the NNLS minimizer is scipy's Lawson-Hanson
+solver on a Cholesky factor.  Slow and obvious beats fast and shared.
 """
 
 import itertools
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import nnls
 from scipy.special import ndtr
 
 
@@ -88,3 +91,17 @@ def brute_force_min_energy(matrix, step=0.01):
         if low < best:
             best = low
     return best
+
+
+def nnls_min_energy(matrix):
+    """Minimum of w'Mw over the simplex for a positive definite M.
+
+    With M = R'R (R upper triangular) and c = R^-T 1, |R v - c|^2 equals
+    v'Mv - 2 sum(v) up to a constant.  Its minimizer v over v >= 0 meets
+    M v >= 1 with equality on its support, so w = v / sum(v) meets the
+    equilibrium condition with value 1 / sum(v), the minimum energy.
+    """
+    R = cholesky(np.asarray(matrix, dtype=float))
+    c = solve_triangular(R, np.ones(R.shape[0]), trans="T")
+    v, _ = nnls(R, c)
+    return 1.0 / float(np.sum(v))

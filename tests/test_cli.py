@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import parse_pairs
-from gaussmin import cli, config, load_measure
+from gaussmin import FractionalGaussianNoise, cli, config, energy, load_measure
 
 THREE_POINT_SIGMA_SQ = 0.5744706733790146
 THREE_POINT_RATE = -0.8703664489242229
@@ -134,6 +134,21 @@ class TestSolve:
         assert total == pytest.approx(1.0, abs=1e-12)
         mu = load_measure(out_dir / "measure.csv")
         assert np.all(mu.locations >= 1.0 - 1e-12)
+
+    def test_written_measure_has_the_printed_energy(self, run_cli, write_ini, tmp_path):
+        # H = 0.3 spreads the minimizer over every node: the measure written
+        # must be that minimizer, not adjacent nodes merged into one atom
+        out_dir = tmp_path / "out"
+        body = (
+            "[kernel]\nkind = fgn\nH = 0.3\nh = 1.0\n"
+            "[interval]\na = 0.0\nb = 3.0\n[grid]\nn = 401\n[solver]\ntol = 1e-9\n"
+        )
+        code, out, _ = run_cli("solve", "--config", write_ini("s.ini", body), "--out", out_dir)
+        assert code == 0
+        sigma_sq = float(parse_pairs(out)["sigma_sq"])
+        mu = load_measure(out_dir / "measure.csv")
+        kernel = FractionalGaussianNoise(0.3, 1.0)
+        assert energy(kernel, mu) == pytest.approx(sigma_sq, rel=1e-6)
 
     def test_iteration_starved_run_exits_two(self, run_cli, write_ini):
         cfg = write_ini(

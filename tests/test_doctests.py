@@ -1,8 +1,12 @@
-"""The examples in the module docstrings run and print what they claim."""
+"""The package's modules: their docstring examples run and print what they
+claim, and importing them loads no test-only dependency."""
 
 import doctest
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +19,23 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(gaussmin.__path__, "gaussm
 def test_module_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0, f"{result.failed} of {result.attempted} examples failed"
+
+
+def test_modules_import_without_scipy():
+    # scipy serves the test oracles only, so it is a test dependency
+    src = os.path.dirname(os.path.dirname(gaussmin.__file__))
+    code = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print('scipy' in sys.modules)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, "gaussmin", *MODULES],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert res.stdout.strip() == "False"

@@ -1,7 +1,9 @@
-"""Frank-Wolfe solver: discretization, convergence, certificates, extraction."""
+"""Active-set solver: discretization, convergence, certificates, extraction."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmin import (
     BrownianMotion,
@@ -20,7 +22,9 @@ from gaussmin import (
     solve,
     three_point,
 )
-from gaussmin.solver import _polish
+from gaussmin import solver
+from gaussmin.solver import _face_minimum
+from oracles import nnls_min_energy
 
 README_SIGMA_SQ = 0.5744706733790146
 
@@ -144,8 +148,10 @@ class TestSolve:
         assert result.converged
         assert result.equilibrium_gap <= 1e-9
         assert np.all(np.diff(result.energy_trace) <= 0.0)
+        # batch additions reach the dense minimizer in a few rounds
+        assert result.iterations <= 50
 
-    def test_half_hurst_singular_polish_stays_finite(self):
+    def test_half_hurst_singular_face_stays_finite(self):
         # H = 1/2 noise has the triangular autocovariance max(h - |tau|, 0);
         # a repeated node makes M_SS exactly singular on the full support
         kernel = FractionalGaussianNoise(0.5, 1.0)
@@ -157,20 +163,45 @@ class TestSolve:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(kkt, np.eye(5)[4])
         w = np.full(4, 0.25)
-        g = 2.0 * matrix @ w
         start = float(w @ matrix @ w)
-        energy_after, g_after = _polish(matrix, w, g, start)
-        assert np.all(np.isfinite(w)) and np.all(np.isfinite(g_after))
+        face, x = _face_minimum(matrix, np.arange(4), w)
+        assert np.all(np.isfinite(x))
+        energy_after = float(x @ matrix[np.ix_(face, face)] @ x)
         assert energy_after <= start
         assert energy_after == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert np.all(w >= 0.0)
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
+        assert np.all(x >= 0.0)
+        assert np.sum(x) == pytest.approx(1.0, abs=1e-14)
 
         result = solve(_problem(matrix), tol=1e-12, history=True)
         assert result.converged
         assert np.all(np.isfinite(result.energy_trace))
         assert np.all(np.diff(result.energy_trace) <= 0.0)
         assert result.energy == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_single_node_fallback_round_converges(self, monkeypatch):
+        # H = 1/2 noise at seeded random nodes: near the optimum the KKT
+        # systems are ill-conditioned, a batch round fails to lower the
+        # energy at rounding level, and a single-node round must follow
+        added = []
+
+        def recording(M, face, w):
+            added.append(face.size - np.count_nonzero(w))
+            return _face_minimum(M, face, w)
+
+        monkeypatch.setattr(solver, "_face_minimum", recording)
+        kernel = FractionalGaussianNoise(0.5, 1.0)
+        t = np.sort(np.random.default_rng(0).uniform(0.0, 1.5, 100))
+        matrix = kernel.cov(t[:, None], t[None, :])
+        result = solve(_problem(matrix), tol=1e-12, max_iter=100, history=True)
+        # round r + 1 did not lower the energy, so round r + 2 is a fallback
+        not_lowered = np.flatnonzero(np.diff(result.energy_trace) >= 0.0)
+        fallbacks = not_lowered[not_lowered + 1 < result.iterations] + 1
+        assert fallbacks.size
+        assert all(added[r] == 1 for r in fallbacks)
+        assert max(added) > 1
+        assert result.converged
+        assert result.equilibrium_gap <= 1e-12
+        assert result.energy == pytest.approx(nnls_min_energy(matrix), rel=1e-12)
 
     def test_max_iter_one_does_not_converge(self):
         prob = discretize(FractionalGaussianNoise(0.75, 1.0), Grid(0.0, 2.0, 51))
@@ -197,6 +228,39 @@ class TestSolve:
             solve(_problem(np.eye(2)), max_iter=0)
 
 
+@st.composite
+def positive_definite_matrices(draw):
+    """Seeded random positive definite matrices and fgn/fbm grids, n <= 200."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 200))
+        rank = draw(st.integers(1, n))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        factor = rng.standard_normal((n, rank))
+        ridge = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+        return factor @ factor.T + ridge * np.eye(n)
+    H = draw(st.floats(0.1, 0.95))
+    if draw(st.booleans()):
+        kernel, a = FractionalGaussianNoise(H, 1.0), 0.0
+    else:
+        kernel, a = FractionalBM(H), draw(st.floats(0.1, 1.0))
+    grid = Grid(a, a + draw(st.floats(0.1, 3.0)), draw(st.integers(2, 200)))
+    return discretize(kernel, grid).matrix
+
+
+class TestAgainstNnls:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(positive_definite_matrices())
+    def test_energy_matches_oracle(self, matrix):
+        # a few dozen rounds at most, so a broken loop fails instead of hanging
+        result = solve(_problem(matrix), tol=1e-12, max_iter=100)
+        oracle = nnls_min_energy(matrix)
+        assert result.converged
+        assert result.energy == pytest.approx(oracle, rel=1e-12)
+        # the certificate bounds the excess up to rounding in both energies
+        slack = 4.0 * np.finfo(float).eps * np.max(np.abs(matrix))
+        assert result.energy - oracle <= result.equilibrium_gap + slack
+
+
 class TestExtractMeasure:
     def _result(self, weights):
         w = np.asarray(weights, dtype=float)
@@ -210,13 +274,13 @@ class TestExtractMeasure:
         np.testing.assert_array_equal(mu.locations, [0.0, 1.0])
         np.testing.assert_array_equal(mu.weights, [0.5, 0.5])
 
-    def test_adjacent_nodes_merge_at_centroid(self):
+    def test_adjacent_nodes_stay_separate_atoms(self):
         grid = Grid(0.0, 1.0, 5)
-        # nodes 0.5 and 0.75 are grid-adjacent: one atom at their centroid
+        # nodes 0.5 and 0.75 are grid-adjacent; each keeps its own atom, so
+        # the measure's energy is the weights' energy
         mu = extract_measure(self._result([0.5, 0.0, 0.25, 0.25, 0.0]), grid)
-        assert len(mu) == 2
-        np.testing.assert_allclose(mu.locations, [0.0, 0.625])
-        np.testing.assert_allclose(mu.weights, [0.5, 0.5])
+        np.testing.assert_array_equal(mu.locations, [0.0, 0.5, 0.75])
+        np.testing.assert_array_equal(mu.weights, [0.5, 0.25, 0.25])
 
     def test_separated_runs_stay_apart(self):
         grid = Grid(0.0, 1.0, 5)
