@@ -149,7 +149,7 @@ def _write_potential(out_dir, kernel, mu, grid):
     write_csv(
         os.path.join(out_dir, "potential.csv"),
         ("t", "phi"),
-        zip(prof.grid.nodes, prof.values),
+        (prof.grid.nodes, prof.values),
     )
 
 
@@ -221,7 +221,7 @@ def cmd_solve(cfg, out_dir, args):
         write_csv(
             os.path.join(out_dir, "solution.csv"),
             ("node", "weight"),
-            zip(grid.nodes, result.weights),
+            (grid.nodes, result.weights),
         )
         save_measure(mu, os.path.join(out_dir, "measure.csv"))
     return EXIT_OK if result.converged else EXIT_CHECK_FAILED
@@ -329,23 +329,18 @@ def cmd_simulate(cfg, out_dir, args):
     )
     _emit(pairs, out_dir, "simulate")
     if out_dir:
-        rows = []
-        for i in range(est.u.size):
-            rows.append(
-                (
-                    est.u[i],
-                    est.trials,
-                    int(est.hits[i]),
-                    est.p_hat[i],
-                    est.log_p_over_u2[i],
-                    est.ci_halfwidth[i],
-                    int(est.flagged[i]),
-                )
-            )
         write_csv(
             os.path.join(out_dir, "ldp.csv"),
             ("u", "trials", "hits", "p_hat", "log_p_over_u2", "ci_halfwidth", "flag"),
-            rows,
+            (
+                est.u,
+                np.full(est.u.size, est.trials),
+                est.hits,
+                est.p_hat,
+                est.log_p_over_u2,
+                est.ci_halfwidth,
+                est.flagged.astype(np.int64),
+            ),
         )
         # a single level has no curve to draw
         if "svg" in cfg.formats and est.u.size >= 2:
@@ -404,7 +399,7 @@ def cmd_figures(cfg, out_dir, args):
     written = []
     for stem, x, y, label in tables:
         path = write_csv(
-            os.path.join(out_dir, stem + ".csv"), ("t", "value"), zip(x, y)
+            os.path.join(out_dir, stem + ".csv"), ("t", "value"), (x, y)
         )
         written.append(os.path.basename(path))
         if "svg" in cfg.formats:

@@ -17,9 +17,16 @@ bit-for-bit identical.
 That is what lets the draws run on threads: a pool of GAUSSMIN_THREADS
 workers (see _threads) draws whole blocks of normals ahead, numpy
 releasing the interpreter lock inside the ziggurat loop, while the calling
-thread takes the blocks in trial order and multiplies them by the Cholesky
-factor.  A worker count of 1 runs the same loop, so every count of workers
-gives the same paths.
+thread takes the blocks in trial order.  A worker count of 1 runs the same
+loop, so every count of workers gives the same paths.
+
+sample_paths multiplies each block by the Cholesky factor in full.  Hit
+counting does not need whole paths: the factor is lower triangular, so a
+path's first coordinates depend only on the first normals, and
+_path_minima builds coordinates in column blocks and drops a path as soon
+as its running minimum falls to the lowest level.  At the levels simulate
+runs most paths leave within the first few nodes, so drawing the normals,
+not the product, bounds its time.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ _BASE_JITTER = 1e-12
 # block size fixes which stream each trial draws from: changing this
 # constant changes the numbers a seed gives
 _BATCH_DOUBLES = 4_000_000
+# width of the first column block of the pruned path product; each later
+# block is twice as wide as the one before
+_FIRST_BLOCK = 8
 
 
 def factorize(problem, jitter=0.0):
@@ -112,15 +122,16 @@ def normal_block(seed, start_trial, trials, draws_per_trial):
 
 
 def _path_batches(kernel, interval, n, trials, seed):
-    """Simulated paths on the n grid nodes of interval, in batches of rows.
+    """Normals for paths on the n grid nodes of interval, in batches of rows.
 
-    Yields (paths, jitter) pairs, jitter being the diagonal shift the
-    Cholesky factor needed.  Consecutive batches cover trials 0, 1, ...,
-    trials - 1 in order, one normal_block block each; trial i is always
-    built from normal_block row i, so the paths do not depend on the batch
-    size.  Worker threads draw the blocks ahead while this thread
-    multiplies them by the factor; at most workers + 1 blocks are submitted
-    and not yet taken.
+    Yields (z, factor, jitter): a block of normals, the lower Cholesky
+    factor of the grid covariance and the diagonal shift it needed; the
+    paths of the batch are z @ factor.T.  Consecutive batches cover trials
+    0, 1, ..., trials - 1 in order, one normal_block block each; trial i is
+    always built from normal_block row i, so the paths do not depend on the
+    batch size.  Worker threads draw the blocks ahead while this thread
+    consumes them; at most workers + 1 blocks are submitted and not yet
+    taken.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -141,14 +152,55 @@ def _path_batches(kernel, interval, n, trials, seed):
             z = blocks.popleft().result()
             if k + workers + 1 < len(starts):
                 blocks.append(draw(starts[k + workers + 1]))
-            yield z @ factor.T, jitter
+            yield z, factor, jitter
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def sample_paths(kernel, interval, n, trials, seed=0):
     """Simulate `trials` paths on n >= 2 grid nodes; rows are paths."""
-    return np.concatenate([x for x, _ in _path_batches(kernel, interval, n, trials, seed)])
+    return np.concatenate(
+        [z @ factor.T for z, factor, _ in _path_batches(kernel, interval, n, trials, seed)]
+    )
+
+
+def _path_minima(z, factor, floor):
+    """Minima of the paths z @ factor.T, exact only where they exceed floor.
+
+    factor is lower triangular, so path coordinate j needs only z[:, :j+1].
+    Coordinates are built in column blocks of widths 8, 16, 32, ... and a
+    row leaves as soon as its running minimum is at or below floor; it
+    keeps that running minimum, which bounds its path minimum from above.
+    So for every level u >= floor, count(minima > u) is the count over the
+    full paths.
+    """
+    n = z.shape[1]
+    minima = np.full(z.shape[0], np.inf)
+    # a slice while no row has left: the first blocks copy nothing
+    rows = slice(None)
+    c0, width = 0, _FIRST_BLOCK
+    while c0 < n:
+        c1 = min(n, c0 + width)
+        block = z[rows, :c1] @ factor[c0:c1, :c1].T
+        low = np.minimum(minima[rows], block.min(axis=1))
+        minima[rows] = low
+        keep = low > floor
+        if not keep.all():
+            rows = np.flatnonzero(keep) if isinstance(rows, slice) else rows[keep]
+        c0, width = c1, 2 * width
+    return minima
+
+
+def _hits(kernel, interval, n, u, trials, seed):
+    """Counts of paths whose grid minimum exceeds each increasing level u.
+
+    Returns (hits, jitter), jitter being the Cholesky factor's diagonal shift.
+    """
+    hits = np.zeros(u.size, dtype=np.int64)
+    for z, factor, jitter in _path_batches(kernel, interval, n, trials, seed):
+        minima = _path_minima(z, factor, u[0])
+        hits += np.count_nonzero(minima[:, None] > u, axis=0)
+    return hits, jitter
 
 
 def estimate_tail(kernel, interval, n, u, trials, seed=0):
@@ -157,12 +209,9 @@ def estimate_tail(kernel, interval, n, u, trials, seed=0):
     Returns (p_hat, hits).  u may be zero (useful as a symmetry sanity
     check).
     """
-    if u < 0.0:
-        raise ValueError(f"level must be nonnegative, got {u}")
-    hits = sum(
-        int(np.count_nonzero(x.min(axis=1) > u))
-        for x, _ in _path_batches(kernel, interval, n, trials, seed)
-    )
+    if not 0.0 <= u < np.inf:
+        raise ValueError(f"level must be finite and nonnegative, got {u}")
+    hits = int(_hits(kernel, interval, n, np.array([float(u)]), trials, seed)[0][0])
     return hits / trials, hits
 
 
@@ -201,15 +250,15 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
     u = np.asarray(list(u_list), dtype=float)
     if u.size == 0:
         raise ValueError("u_list must not be empty")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("levels must be finite")
     if np.any(u <= 0.0):
         raise ValueError("levels must be positive")
     if np.any(np.diff(u) <= 0.0):
         raise ValueError("levels must be strictly increasing")
     if sigma_sq is not None and not sigma_sq >= 0.0:
         raise ValueError(f"sigma_sq must be nonnegative, got {sigma_sq}")
-    hits = np.zeros(u.size, dtype=np.int64)
-    for x, jitter in _path_batches(kernel, interval, n, trials, seed):
-        hits += np.count_nonzero(x.min(axis=1)[:, None] > u, axis=0)
+    hits, jitter = _hits(kernel, interval, n, u, trials, seed)
     p_hat = hits / trials
     flagged = hits == 0
     safe_p = np.where(flagged, 1.0 / trials, p_hat)

@@ -39,11 +39,17 @@ def format_value(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """Write rows of scalars under a header line; returns the path."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(format_value, row)))
+def write_csv(path, header, columns):
+    """Write equal-length columns under a header line; returns the path.
+
+    A column is an array of one dtype: a float column renders with repr(),
+    any other through format_value.
+    """
+    cells = [
+        map(repr if col.dtype.kind == "f" else format_value, col.tolist())
+        for col in map(np.asarray, columns)
+    ]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     _atomic_write_text(path, "\n".join(lines) + "\n")
     return path
 
@@ -78,7 +84,7 @@ def write_svg(path, x, y, title, ylabel=""):
     px = _MARGIN + (x - x0) / xspan * inner_w
     rise = np.zeros_like(y) if flat else (y - y0) / (y1 - y0) * inner_h
     py = _SVG_H - _MARGIN - rise
-    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px.tolist(), py.tolist()))
     left, right, bottom = _MARGIN, _SVG_W - _MARGIN, _SVG_H - _MARGIN
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '

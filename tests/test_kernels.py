@@ -256,6 +256,16 @@ class TestTabulated:
         Tabulated(nodes, np.ones((3, 3)) - 1e-13 * np.eye(3))
         Tabulated(nodes, np.zeros((3, 3)))
 
+    def test_definite_table_accepted_without_eigenvalues(self, monkeypatch):
+        # the Cholesky factor of the shifted table decides; eigenvalues are
+        # only computed to word the rejection
+        def eigvalsh(matrix):
+            raise AssertionError("eigvalsh called on a definite table")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        nodes = np.linspace(1.0, 2.0, 201)
+        Tabulated(nodes, FractionalBM(0.7).cov(nodes[:, None], nodes[None, :]))
+
     def test_not_stationary(self):
         with pytest.raises(StationarityError):
             self._kernel().gamma(1.0)

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmin import _threads, montecarlo
 from gaussmin import (
@@ -196,6 +198,9 @@ class TestEstimateTail:
             estimate_tail(BrownianMotion(), (1.0, 2.0), 3, 1.0, 0)
         with pytest.raises(ValueError, match="level"):
             estimate_tail(BrownianMotion(), (1.0, 2.0), 3, -0.5, 10)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                estimate_tail(BrownianMotion(), (1.0, 2.0), 3, bad, 10)
         with pytest.raises(GridError, match="2 nodes"):
             estimate_tail(BrownianMotion(), (1.0, 2.0), 1, 0.0, 10)
 
@@ -265,6 +270,9 @@ class TestLdpCurve:
             ldp_curve(kernel, (1.0, 2.0), 20, [0.0, 1.0], 100)
         with pytest.raises(ValueError, match="increasing"):
             ldp_curve(kernel, (1.0, 2.0), 20, [2.0, 1.0], 100)
+        for bad in ([1.0, float("nan"), 2.0], [float("nan")], [1.0, float("inf")]):
+            with pytest.raises(ValueError, match="finite"):
+                ldp_curve(kernel, (1.0, 2.0), 20, bad, 100)
         with pytest.raises(ValueError, match="trials"):
             ldp_curve(kernel, (1.0, 2.0), 20, [1.0], 0)
 
@@ -277,6 +285,53 @@ class TestLdpCurve:
         assert np.all(coarse_min >= fine_min)
         u = 0.8
         assert np.count_nonzero(coarse_min > u) >= np.count_nonzero(fine_min > u)
+
+
+@st.composite
+def pruning_cases(draw):
+    # a Cholesky factor of an fgn or fbm grid, normals, and a floor below
+    # every path value, between two of them, or above every one
+    hurst = draw(st.floats(0.1, 0.95))
+    n = draw(st.integers(2, 300))
+    if draw(st.booleans()):
+        kernel, interval = FractionalGaussianNoise(hurst, 1.0), (0.0, 2.0)
+    else:
+        kernel, interval = FractionalBM(hurst), (1.0, 2.0)
+    factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
+    rows = draw(st.integers(1, 500))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, n))
+    values = np.sort((z @ factor.T).ravel())
+    where = draw(st.sampled_from(["below", "inside", "above"]))
+    if where == "below":
+        floor = values[0] - 1.0
+    elif where == "above":
+        floor = values[-1] + 1.0
+    else:
+        k = draw(st.integers(0, values.size - 2))
+        floor = 0.5 * (values[k] + values[k + 1])
+    return z, factor, floor
+
+
+class TestPathMinima:
+    """The pruned triangular product against the full one."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pruning_cases())
+    def test_matches_the_full_product(self, case):
+        z, factor, floor = case
+        paths = z @ factor.T
+        full = paths.min(axis=1)
+        minima = montecarlo._path_minima(z, factor, floor)
+        kept = minima > floor
+        np.testing.assert_allclose(
+            minima[kept], full[kept], rtol=1e-12, atol=1e-12 * np.abs(paths).max()
+        )
+        assert np.all(full[~kept] <= floor)
+        levels = floor + np.array([0.0, 0.3, 1.0])
+        np.testing.assert_array_equal(
+            np.count_nonzero(minima[:, None] > levels, axis=0),
+            np.count_nonzero(full[:, None] > levels, axis=0),
+        )
 
 
 class TestDrawPool:

@@ -41,7 +41,15 @@ def test_format_value(value, text):
     assert format_value(value) == text
 
 
-def test_csv_rows_render_cell_by_cell(tmp_path):
-    rows = [(np.float64(1.5), np.int64(2), np.bool_(True)), (0.1, 3, "x")]
-    path = write_csv(tmp_path / "t.csv", ("a", "b", "c"), rows)
-    assert path.read_text() == "a,b,c\n1.5,2,True\n0.1,3,x\n"
+def test_csv_columns_render_by_dtype(tmp_path):
+    columns = (
+        np.array([1.5, 0.1, -0.0]),
+        np.array([2, 3, -4]),
+        np.array([True, False, True]),
+        np.array(["x", "y", "z"]),
+        np.array([0.5, 0.25, np.inf], dtype=np.float32),
+    )
+    path = write_csv(tmp_path / "t.csv", ("a", "b", "c", "d", "e"), columns)
+    assert path.read_text() == (
+        "a,b,c,d,e\n1.5,2,True,x,0.5\n0.1,3,False,y,0.25\n-0.0,-4,True,z,inf\n"
+    )
