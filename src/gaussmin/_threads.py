@@ -4,10 +4,13 @@ BLAS thread pools read their env vars at load time, so this module must be
 imported before numpy.  It is effective when a process starts through the
 CLI or imports gaussmin first; best effort otherwise.
 
-The same cap sizes the Monte Carlo draw pool: WORKERS is GAUSSMIN_THREADS
-when that is a positive integer, but never more than os.cpu_count(), since
-each worker holds a batch of normals and more workers than cores draw no
-faster; os.cpu_count() when the cap is unset or not a positive integer.
+The same cap sizes the Monte Carlo pool, in which each worker takes one
+whole trial block at a time: it draws the block's normals column block by
+column block for the paths still above the lowest level, builds those
+paths and counts their hits.  WORKERS is GAUSSMIN_THREADS when that is a
+positive integer, but never more than os.cpu_count(), since each worker
+holds a block of normals and more workers than cores run no faster;
+os.cpu_count() when the cap is unset or not a positive integer.
 """
 
 import os

@@ -41,7 +41,6 @@ dispatch.
 from __future__ import annotations
 
 import configparser
-import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -342,48 +341,80 @@ def build_kernel(cfg):
         raise ConfigError(f"invalid kernel parameters: {exc}") from exc
 
 
+# one (i, j, value) row of a tabulated kernel file
+_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("value", float)])
+
+
+def _read_rows(rows):
+    # every row, in one np.loadtxt pass; ValueError if it rejects any
+    if not rows:
+        return np.empty(0, _ROW)
+    return np.loadtxt(rows, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+
+
+def _rejected(row, n):
+    # why np.loadtxt rejected a row; Python's int reads an index past int64,
+    # which is then reported as written
+    fields = row.split(",")
+    if len(fields) != 3:
+        return "expected three fields"
+    try:
+        i, j, _ = int(fields[0]), int(fields[1]), float(fields[2])
+    except ValueError:
+        return "malformed row"
+    if 0 <= i < n and 0 <= j < n:
+        return "malformed row"  # digit-group underscores or non-ASCII digits
+    return f"index ({i}, {j}) outside 0..{n - 1}"
+
+
 def load_tabulated_matrix(path, n):
     """Read an (i, j, value) CSV into a dense n x n matrix.
 
     Every pair must appear exactly once; indexes are 0-based.  A nan value
     leaves its pair unset.  The first defective line in file order is the
-    one reported.
+    one reported.  Fields are plain numerals as np.loadtxt reads them, so a
+    quoted field, digit-group underscores or non-ASCII digits make a
+    malformed row.
     """
     if not os.path.exists(path):
         raise ConfigError(f"tabulated kernel file not found: {path}")
-    # parse up to the first unparsable row (a range or duplicate defect on an
-    # earlier line still wins); rows stream into lists of plain numbers, so
-    # no per-row container outlives its line or wakes the cyclic GC
-    linenos, ii, jj, values, parse_error = [], [], [], [], None
     try:
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != ["i", "j", "value"]:
-                raise ConfigError(f"{path}: expected header 'i,j,value'")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    parse_error = f"{path}:{lineno}: expected three fields"
-                    break
-                try:
-                    i, j, value = int(row[0]), int(row[1]), float(row[2])
-                except ValueError:
-                    parse_error = f"{path}:{lineno}: malformed row"
-                    break
-                linenos.append(lineno)
-                ii.append(i)
-                jj.append(j)
-                values.append(value)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        with open(path) as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read tabulated kernel file {path}: {exc}") from exc
-    # numpy widens indexes beyond int64 to float or object, never wraps them
-    i, j = np.array(ii), np.array(jj)
+    if "\0" in text:
+        raise ConfigError(f"cannot read tabulated kernel file {path}: line contains NUL")
+    header, _, body = text.partition("\n")
+    if [c.strip() for c in header.split(",")] != ["i", "j", "value"]:
+        raise ConfigError(f"{path}: expected header 'i,j,value'")
+    lines = body.split("\n")
+    rows = list(filter(None, lines))
+    # read up to the first row np.loadtxt rejects, found by bisection when
+    # there is one (a range or duplicate defect on an earlier line still wins)
+    parsed = len(rows)
+    try:
+        table = _read_rows(rows)
+    except ValueError:
+        parsed, rejected = 0, len(rows)  # rows[:parsed] read, rows[:rejected] not
+        while rejected - parsed > 1:
+            mid = (parsed + rejected) // 2
+            try:
+                _read_rows(rows[:mid])
+                parsed = mid
+            except ValueError:
+                rejected = mid
+        table = _read_rows(rows[:parsed])
+
+    def line(r):
+        # file line of row r: the header is line 1 and blank lines count
+        return f"{path}:{np.flatnonzero(list(map(bool, lines)))[r] + 2}"
+
+    i, j, values = table["i"], table["j"], table["value"]
     outside = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
-    stop = int(outside[0]) if outside.size else len(linenos)
-    keys = i[:stop].astype(np.int64) * n + j[:stop].astype(np.int64)
-    values = np.array(values[:stop], dtype=float)
+    stop = int(outside[0]) if outside.size else parsed
+    keys = i[:stop] * n + j[:stop]
+    values = values[:stop]
     isset = ~np.isnan(values)
     # a row repeats its pair when an earlier row of the pair set a value:
     # sort rows by pair (stable, so file order within a pair) and count the
@@ -396,13 +427,11 @@ def load_tabulated_matrix(path, n):
     repeats = order[set_before > set_before[first]]
     if repeats.size:
         k = int(repeats.min())
-        raise ConfigError(f"{path}:{linenos[k]}: duplicate entry ({ii[k]}, {jj[k]})")
+        raise ConfigError(f"{line(k)}: duplicate entry ({i[k]}, {j[k]})")
     if outside.size:
-        raise ConfigError(
-            f"{path}:{linenos[stop]}: index ({ii[stop]}, {jj[stop]}) outside 0..{n - 1}"
-        )
-    if parse_error is not None:
-        raise ConfigError(parse_error)
+        raise ConfigError(f"{line(stop)}: index ({i[stop]}, {j[stop]}) outside 0..{n - 1}")
+    if parsed < len(rows):
+        raise ConfigError(f"{line(parsed)}: {_rejected(rows[parsed], n)}")
     matrix = np.full((n, n), np.nan)
     matrix.flat[keys[isset]] = values[isset]  # unique pairs, so no write order
     if np.any(np.isnan(matrix)):

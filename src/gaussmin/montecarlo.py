@@ -5,28 +5,29 @@ paths whose minimum over the nodes exceeds u, and watch the normalized
 log-probability log p / u^2 drift toward the theoretical rate
 -1 / (2 sigma*^2).
 
-Draws come in fixed blocks of trials: block k holds trials
-[k * rows, (k + 1) * rows), with rows fixed by the number of draws per
-trial, and is drawn row by row by numpy's ziggurat sampler (Marsaglia &
+Paths are X = z @ factor.T for the lower Cholesky factor of the grid
+covariance, so a path's first coordinates need only its first normals.
+Normals come in fixed blocks: trial block k holds trials
+[k * rows, (k + 1) * rows), with rows fixed by the number of grid nodes,
+and its columns fall in blocks of widths 8, 16, 32, ...  Column block c of
+trial block k is drawn row-major by numpy's ziggurat sampler (Marsaglia &
 Tsang, J. Stat. Softw. 5, 2000) from its own stream,
-SFC64(SeedSequence(seed, spawn_key=(k,))).  Every trial's normals are
-therefore fixed by the seed and the trial index: estimates do not depend
-on batch size or evaluation schedule, and reruns with the same seed are
-bit-for-bit identical.
+SFC64(SeedSequence(seed, spawn_key=(k, c))).
 
-That is what lets the draws run on threads: a pool of GAUSSMIN_THREADS
-workers (see _threads) draws whole blocks of normals ahead, numpy
-releasing the interpreter lock inside the ziggurat loop, while the calling
-thread takes the blocks in trial order.  A worker count of 1 runs the same
-loop, so every count of workers gives the same paths.
+Hit counting draws each column block only for the rows whose running
+minimum is still above the lowest level, builds their coordinates of that
+block, and drops the rest: a path at or below the lowest level can exceed
+no level, and a path built to the end has its exact minimum.  So a path's
+normals after its first column block depend on the lowest level of the
+call, while its hits stay exact for that call.  normal_block and
+sample_paths are the case where no row leaves, with the full product.
 
-sample_paths multiplies each block by the Cholesky factor in full.  Hit
-counting does not need whole paths: the factor is lower triangular, so a
-path's first coordinates depend only on the first normals, and
-_path_minima builds coordinates in column blocks and drops a path as soon
-as its running minimum falls to the lowest level.  At the levels simulate
-runs most paths leave within the first few nodes, so drawing the normals,
-not the product, bounds its time.
+Results do not depend on how trials are split into calls or on the
+worker count, and reruns with the same seed are bit-for-bit identical.
+That is what lets a pool of GAUSSMIN_THREADS workers (see _threads) each
+take a whole trial block, numpy releasing the interpreter lock in the
+ziggurat loop and the product, while the calling thread sums their hit
+counts.
 """
 
 from __future__ import annotations
@@ -53,14 +54,13 @@ __all__ = [
 
 _MAX_JITTER = 1e-6
 _BASE_JITTER = 1e-12
-# paths per simulation batch, which is one block of the normal stream, are
-# sized to keep one batch of normals near 32 MB; up to workers + 1 batches
-# are drawn ahead, so the working set is about (workers + 1) * 32 MB.  The
-# block size fixes which stream each trial draws from: changing this
-# constant changes the numbers a seed gives
+# trials per block of the normal stream are sized to keep one block of
+# normals near 32 MB, and each worker holds one block at a time.  The block
+# size fixes which stream each trial draws from: changing this constant
+# changes the numbers a seed gives
 _BATCH_DOUBLES = 4_000_000
-# width of the first column block of the pruned path product; each later
-# block is twice as wide as the one before
+# width of the first column block of the normal stream and the pruned path
+# product; each later block is twice as wide as the one before
 _FIRST_BLOCK = 8
 
 
@@ -90,20 +90,33 @@ def factorize(problem, jitter=0.0):
 
 
 def _block_rows(draws_per_trial):
-    # trials per block of normals, and per batch of paths
+    # trials per block of the normal stream
     return max(1, _BATCH_DOUBLES // draws_per_trial)
+
+
+def _column_blocks(n):
+    # column ranges (c0, c1) of widths 8, 16, 32, ..., the last cut at n
+    c0, width = 0, _FIRST_BLOCK
+    while c0 < n:
+        yield c0, min(n, c0 + width)
+        c0, width = c0 + width, 2 * width
+
+
+def _normals(seed, k, c, rows, width):
+    # the first `rows` rows of column block c of trial block k
+    stream = np.random.SeedSequence(seed, spawn_key=(k, c))
+    return np.random.Generator(np.random.SFC64(stream)).standard_normal((rows, width))
 
 
 def normal_block(seed, start_trial, trials, draws_per_trial):
     """Standard normals for trials [start_trial, start_trial + trials).
 
-    Trials fall in fixed blocks of rows = max(1, _BATCH_DOUBLES //
-    draws_per_trial): block k holds trials [k * rows, (k + 1) * rows) and is
-    drawn row by row with numpy's ziggurat from its own generator,
-    Generator(SFC64(SeedSequence(seed, spawn_key=(k,)))).  A call that
-    starts inside a block first draws and drops that block's earlier rows,
-    so the mapping from (seed, trial, coordinate) to value is fixed and any
-    split of the trials into calls produces identical numbers.
+    Trial block k holds trials [k * rows, (k + 1) * rows), rows =
+    max(1, _BATCH_DOUBLES // draws_per_trial); its column block c (widths
+    8, 16, 32, ...) is Generator(SFC64(SeedSequence(seed, spawn_key=(k,
+    c)))).standard_normal, filled row-major.  A call that starts inside a
+    trial block draws and drops its earlier rows, so any split of the
+    trials into calls produces identical numbers.
     """
     rows = _block_rows(draws_per_trial)
     z = np.empty((trials, draws_per_trial))
@@ -111,95 +124,82 @@ def normal_block(seed, start_trial, trials, draws_per_trial):
     while trial < stop:
         k, skip = divmod(trial, rows)
         take = min(rows - skip, stop - trial)
-        stream = np.random.SeedSequence(seed, spawn_key=(k,))
-        gen = np.random.Generator(np.random.SFC64(stream))
-        if skip:
-            gen.standard_normal(skip * draws_per_trial)
         row = trial - start_trial
-        gen.standard_normal(out=z[row : row + take])
+        for c, (c0, c1) in enumerate(_column_blocks(draws_per_trial)):
+            z[row : row + take, c0:c1] = _normals(seed, k, c, skip + take, c1 - c0)[skip:]
         trial += take
     return z
 
 
-def _path_batches(kernel, interval, n, trials, seed):
-    """Normals for paths on the n grid nodes of interval, in batches of rows.
-
-    Yields (z, factor, jitter): a block of normals, the lower Cholesky
-    factor of the grid covariance and the diagonal shift it needed; the
-    paths of the batch are z @ factor.T.  Consecutive batches cover trials
-    0, 1, ..., trials - 1 in order, one normal_block block each; trial i is
-    always built from normal_block row i, so the paths do not depend on the
-    batch size.  Worker threads draw the blocks ahead while this thread
-    consumes them; at most workers + 1 blocks are submitted and not yet
-    taken.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
+def _grid_factor(kernel, interval, n, trials):
+    """(factor, jitter) of the grid covariance, once trials is checked."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    factor, jitter = factorize(discretize(kernel, Grid(*interval, n)))
-    batch = _block_rows(n)
-    starts = range(0, trials, batch)
-    workers = _threads.WORKERS
-    pool = ThreadPoolExecutor(workers)
-
-    def draw(start):
-        return pool.submit(normal_block, seed, start, min(batch, trials - start), n)
-
-    try:
-        blocks = collections.deque(map(draw, starts[: workers + 1]))
-        for k in range(len(starts)):
-            z = blocks.popleft().result()
-            if k + workers + 1 < len(starts):
-                blocks.append(draw(starts[k + workers + 1]))
-            yield z, factor, jitter
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return factorize(discretize(kernel, Grid(*interval, n)))
 
 
 def sample_paths(kernel, interval, n, trials, seed=0):
     """Simulate `trials` paths on n >= 2 grid nodes; rows are paths."""
-    return np.concatenate(
-        [z @ factor.T for z, factor, _ in _path_batches(kernel, interval, n, trials, seed)]
-    )
+    factor, _ = _grid_factor(kernel, interval, n, trials)
+    return normal_block(seed, 0, trials, n) @ factor.T
 
 
-def _path_minima(z, factor, floor):
-    """Minima of the paths z @ factor.T, exact only where they exceed floor.
+def _block_minima(seed, k, trials, factor, floor):
+    """Path minima of the trials in block k, exact only where they exceed floor.
 
-    factor is lower triangular, so path coordinate j needs only z[:, :j+1].
-    Coordinates are built in column blocks of widths 8, 16, 32, ... and a
-    row leaves as soon as its running minimum is at or below floor; it
-    keeps that running minimum, which bounds its path minimum from above.
-    So for every level u >= floor, count(minima > u) is the count over the
-    full paths.
+    factor is lower triangular, so path coordinate j needs only the first
+    j + 1 normals.  Column block c of the normals is drawn for the rows
+    still alive, in trial order, and builds their coordinates of that block;
+    a row leaves as soon as its running minimum is at or below floor and
+    keeps that running minimum, an upper bound on its path minimum.  So for
+    every level u >= floor, count(minima > u) is the full paths' count.
     """
-    n = z.shape[1]
+    n = factor.shape[0]
+    rows = _block_rows(n)
+    # column-major, so the pages of normals never drawn are never touched
+    z = np.empty((min(rows, trials - k * rows), n), order="F")
     minima = np.full(z.shape[0], np.inf)
-    # a slice while no row has left: the first blocks copy nothing
-    rows = slice(None)
-    c0, width = 0, _FIRST_BLOCK
-    while c0 < n:
-        c1 = min(n, c0 + width)
-        block = z[rows, :c1] @ factor[c0:c1, :c1].T
-        low = np.minimum(minima[rows], block.min(axis=1))
-        minima[rows] = low
+    alive = np.arange(z.shape[0])
+    for c, (c0, c1) in enumerate(_column_blocks(n)):
+        m = alive.size
+        z[:m, c0:c1] = _normals(seed, k, c, m, c1 - c0)
+        low = np.minimum(minima[alive], (z[:m, :c1] @ factor[c0:c1, :c1].T).min(axis=1))
+        minima[alive] = low
         keep = low > floor
         if not keep.all():
-            rows = np.flatnonzero(keep) if isinstance(rows, slice) else rows[keep]
-        c0, width = c1, 2 * width
+            alive = alive[keep]
+            z[: alive.size, :c1] = z[:m, :c1][keep]
     return minima
 
 
 def _hits(kernel, interval, n, u, trials, seed):
     """Counts of paths whose grid minimum exceeds each increasing level u.
 
-    Returns (hits, jitter), jitter being the Cholesky factor's diagonal shift.
+    Worker threads take whole trial blocks (draws, product and counts), and
+    only hit vectors come back; at most workers + 1 blocks are submitted
+    and not yet taken.  Returns (hits, jitter), jitter being the Cholesky
+    factor's diagonal shift.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    factor, jitter = _grid_factor(kernel, interval, n, trials)
+
+    def block_hits(k):
+        minima = _block_minima(seed, k, trials, factor, u[0])
+        return np.count_nonzero(minima[:, None] > u, axis=0)
+
     hits = np.zeros(u.size, dtype=np.int64)
-    for z, factor, jitter in _path_batches(kernel, interval, n, trials, seed):
-        minima = _path_minima(z, factor, u[0])
-        hits += np.count_nonzero(minima[:, None] > u, axis=0)
+    pending = collections.deque()
+    pool = ThreadPoolExecutor(_threads.WORKERS)
+    try:
+        for k in range(-(-trials // _block_rows(n))):
+            pending.append(pool.submit(block_hits, k))
+            if len(pending) > _threads.WORKERS:
+                hits += pending.popleft().result()
+        for future in pending:
+            hits += future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return hits, jitter
 
 

@@ -408,3 +408,41 @@ class TestTabulated:
         cfg_path.write_text(body)
         cfg = load_config(str(cfg_path))
         assert cfg.kernel_params["path"] == str(sub / "m.csv")
+
+
+class TestTabulatedRows:
+    """The one-pass table read against the row-by-row reference."""
+
+    @pytest.mark.parametrize("defect", [
+        "0,1", "0,1,x", "0,1,1.0,", "300,1,1.0", "0,1,1.0", " ", "99999999999999999999,1,1.0",
+    ])
+    @pytest.mark.parametrize("where", [0, 1, 20_000, 40_400])
+    def test_a_defect_deep_in_a_full_table(self, tmp_path, defect, where):
+        # the first rejected row is found by bisection; blank lines count
+        rows = [f"{i},{j},{0.5 * (i + j)!r}" for i in range(201) for j in range(201)]
+        rows[where + 1 :] = ["", *rows[where + 1 :]]
+        rows.insert(where, defect)
+        path = tmp_path / "big.csv"
+        path.write_text("i,j,value\n" + "\n".join(rows) + "\n")
+        want = _outcome(_reference_load, str(path), 201)
+        assert "big.csv:" in want
+        assert _outcome(load_tabulated_matrix, str(path), 201) == want
+
+    @pytest.mark.parametrize("row", ['"0",0,1.0', "0,0,1_0", "0_0,0,1.0"])
+    def test_python_only_spellings_are_malformed(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"i,j,value\n{row}\n0,1,0.0\n1,0,0.0\n1,1,1.0\n")
+        with pytest.raises(ConfigError, match=r"t\.csv:2: malformed row$"):
+            load_tabulated_matrix(str(path), 2)
+
+    def test_nul_is_unreadable(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("i,j,value\n0,0,1.0\x00\n")
+        with pytest.raises(ConfigError, match="cannot read tabulated kernel file"):
+            load_tabulated_matrix(str(path), 2)
+
+    def test_crlf_and_surrounding_spaces_read_as_before(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b" i , j ,value\r\n0, 0 ,1.5\r\n\r\n0,1,-0.0\r\n1,0,0.25\r\n +1,1,inf\r\n")
+        got = load_tabulated_matrix(str(path), 2)
+        assert got.tobytes() == _reference_load(str(path), 2).tobytes()

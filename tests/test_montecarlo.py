@@ -31,25 +31,49 @@ from gaussmin import (
 from oracles import discrete_min_tail, reflection_tail
 
 
+def _column_ranges(n):
+    # column blocks of widths 8, 16, 32, ..., the last cut at n
+    c0, width = 0, 8
+    while c0 < n:
+        yield c0, min(n, c0 + width)
+        c0, width = c0 + width, 2 * width
+
+
+def _column_draw(seed, k, c, rows, width):
+    bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k, c)))
+    return np.random.Generator(bits).standard_normal((rows, width))
+
+
 def _ziggurat_oracle(seed, start_trial, trials, draws_per_trial, rows):
-    # per-block SFC64 ziggurat stream, frozen: trial i is row i % rows of
-    # block i // rows, which is drawn whole from its own spawned seed
+    # column-block SFC64 ziggurat stream, frozen: trial i is row i % rows of
+    # block i // rows, whose column block c (widths 8, 16, 32, ...) is drawn
+    # whole from its own spawned seed (k, c)
     def block(k):
-        bits = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k,)))
-        return np.random.Generator(bits).standard_normal((rows, draws_per_trial))
+        return np.hstack([
+            _column_draw(seed, k, c, rows, c1 - c0)
+            for c, (c0, c1) in enumerate(_column_ranges(draws_per_trial))
+        ])
 
     trial_ids = range(start_trial, start_trial + trials)
     blocks = {k: block(k) for k in {i // rows for i in trial_ids}}
     return np.array([blocks[i // rows][i % rows] for i in trial_ids])
 
 
-def _serial_paths(kernel, interval, n, trials, seed, batch):
-    # the one-thread batch loop the draw pool replaced, frozen
-    factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
-    return np.concatenate([
-        normal_block(seed, start, min(batch, trials - start), n) @ factor.T
-        for start in range(0, trials, batch)
-    ])
+def _serial_paths(factor, seed, trials, rows, floor=-np.inf):
+    # the pruned column-block stream, frozen, one trial block at a time:
+    # column block c of trial block k is drawn row-major for the trials
+    # whose path so far stays above floor, and each path is rebuilt from
+    # its first normals; coordinates never built are nan
+    n = factor.shape[0]
+    z = np.zeros((trials, n))
+    paths = np.full((trials, n), np.nan)
+    for k, start in enumerate(range(0, trials, rows)):
+        alive = np.arange(start, min(start + rows, trials))
+        for c, (c0, c1) in enumerate(_column_ranges(n)):
+            z[alive, c0:c1] = _column_draw(seed, k, c, alive.size, c1 - c0)
+            paths[alive, :c1] = z[alive, :c1] @ factor[:c1, :c1].T
+            alive = alive[paths[alive, :c1].min(axis=1) > floor]
+    return paths
 
 
 def _problem(matrix):
@@ -185,13 +209,22 @@ class TestEstimateTail:
         assert p_hat >= reflection_tail(1.0, 2.0, u) - 3.0 * se
 
     def test_counts_are_prefix_consistent(self):
+        # the first 1000 trials of a 3000-trial run pruned at the same level;
+        # at n = 10 one trial block holds 400,000 trials
         kernel = FractionalBM(0.75)
-        paths = sample_paths(kernel, (1.0, 2.0), 10, 3000, seed=9)
-        minima = paths.min(axis=1)
+        factor, _ = factorize(discretize(kernel, Grid(1.0, 2.0, 10)))
+        minima = np.nanmin(_serial_paths(factor, 9, 3000, 400_000, floor=0.5), axis=1)
         expected = int(np.count_nonzero(minima[:1000] > 0.5))
         p_hat, hits = estimate_tail(kernel, (1.0, 2.0), 10, 0.5, 1000, seed=9)
         assert hits == expected
         assert p_hat == expected / 1000
+
+    @pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
+    def test_equals_the_lowest_level_of_a_curve(self, u):
+        # both prune at u, so they draw the same normals
+        kernel, interval = FractionalBM(0.75), (1.0, 2.0)
+        _, hits = estimate_tail(kernel, interval, 30, u, 5000, seed=3)
+        assert hits == ldp_curve(kernel, interval, 30, [u, u + 1.0], 5000, seed=3).hits[0]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):
@@ -289,121 +322,181 @@ class TestLdpCurve:
 
 @st.composite
 def pruning_cases(draw):
-    # a Cholesky factor of an fgn or fbm grid, normals, and a floor below
-    # every path value, between two of them, or above every one
+    # an fgn or fbm grid, one ragged trial block, and a floor below every
+    # path value, inside the first column block's values, or above them all
     hurst = draw(st.floats(0.1, 0.95))
     n = draw(st.integers(2, 300))
     if draw(st.booleans()):
         kernel, interval = FractionalGaussianNoise(hurst, 1.0), (0.0, 2.0)
     else:
         kernel, interval = FractionalBM(hurst), (1.0, 2.0)
-    factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
-    rows = draw(st.integers(1, 500))
-    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, n))
-    values = np.sort((z @ factor.T).ravel())
+    trials = draw(st.integers(1, 500))
+    seed = draw(st.integers(0, 2**32 - 1))
+    paths = sample_paths(kernel, interval, n, trials, seed)
+    first = np.sort(paths[:, :8].ravel())
     where = draw(st.sampled_from(["below", "inside", "above"]))
     if where == "below":
-        floor = values[0] - 1.0
+        floor = paths.min() - 1.0
     elif where == "above":
-        floor = values[-1] + 1.0
+        floor = first[-1] + 1.0
     else:
-        k = draw(st.integers(0, values.size - 2))
-        floor = 0.5 * (values[k] + values[k + 1])
-    return z, factor, floor
+        k = draw(st.integers(0, first.size - 2))
+        floor = 0.5 * (first[k] + first[k + 1])
+    return kernel, interval, n, trials, seed, paths, floor
 
 
 class TestPathMinima:
-    """The pruned triangular product against the full one."""
+    """The per-block pruned product against the full one and the oracle.
+
+    At n <= 300 one trial block holds every trial, so block 0 is ragged.
+    """
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(pruning_cases())
     def test_matches_the_full_product(self, case):
-        z, factor, floor = case
-        paths = z @ factor.T
-        full = paths.min(axis=1)
-        minima = montecarlo._path_minima(z, factor, floor)
+        kernel, interval, n, trials, seed, paths, floor = case
+        factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
+        minima = montecarlo._block_minima(seed, 0, trials, factor, floor)
+        oracle = _serial_paths(factor, seed, trials, trials, floor)
+        want = np.nanmin(oracle, axis=1)
+        if floor < paths.min():
+            # nothing leaves: the paths are sample_paths'
+            want = paths.min(axis=1)
         kept = minima > floor
+        np.testing.assert_array_equal(kept, want > floor)
         np.testing.assert_allclose(
-            minima[kept], full[kept], rtol=1e-12, atol=1e-12 * np.abs(paths).max()
+            minima[kept], want[kept], rtol=1e-12, atol=1e-12 * np.nanmax(np.abs(oracle))
         )
-        assert np.all(full[~kept] <= floor)
-        levels = floor + np.array([0.0, 0.3, 1.0])
+        assert np.all(minima[~kept] <= floor)
+        levels = floor + np.array([0.0, 0.3, 0.7])
         np.testing.assert_array_equal(
             np.count_nonzero(minima[:, None] > levels, axis=0),
-            np.count_nonzero(full[:, None] > levels, axis=0),
+            np.count_nonzero(want[:, None] > levels, axis=0),
         )
 
 
 class TestDrawPool:
-    """Normals drawn on worker threads give the one-thread stream.
+    """Trial blocks taken on worker threads give the one-thread stream.
 
-    With _BATCH_DOUBLES = 100 and n = 10 a batch is 10 rows, so 95 trials
-    make nine full batches and a ragged one of 5.
+    With _BATCH_DOUBLES = 100 and n = 10 a block is 10 trials, so 95 trials
+    make nine full blocks and a ragged one of 5.
     """
 
     N, TRIALS, BATCH = 10, 95, 10
+    KERNEL, INTERVAL, U = FractionalBM(0.75), (1.0, 2.0), [0.25, 0.5, 1.0]
 
     @pytest.fixture(autouse=True)
     def small_batches(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_BATCH_DOUBLES", 100)
 
+    @pytest.fixture
+    def pool_log(self, monkeypatch):
+        # a ThreadPoolExecutor that logs, at each submission, the blocks
+        # submitted and not yet taken by result(), and the blocks started
+        import concurrent.futures
+
+        log = {"pending": [], "started": [], "open": 0, "takes": 0, "interrupt_take": None}
+        base = concurrent.futures.ThreadPoolExecutor
+
+        class Logging(base):
+            def submit(self, fn, k):
+                def run(k):
+                    log["started"].append(k)
+                    return fn(k)
+
+                future = super().submit(run, k)
+                log["open"] += 1
+                log["pending"].append(log["open"])
+                result = future.result
+
+                def taken(timeout=None):
+                    log["open"] -= 1
+                    log["takes"] += 1
+                    if log["takes"] == log["interrupt_take"]:
+                        raise KeyboardInterrupt
+                    return result(timeout)
+
+                future.result = taken
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Logging)
+        return log
+
+    def _factor(self):
+        return factorize(discretize(self.KERNEL, Grid(*self.INTERVAL, self.N)))[0]
+
+    def _curve(self, trials=TRIALS):
+        return ldp_curve(self.KERNEL, self.INTERVAL, self.N, self.U, trials, seed=4)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_paths_and_hits_for_any_worker_count(self, monkeypatch, workers):
         monkeypatch.setattr(_threads, "WORKERS", workers)
-        kernel, interval, u = FractionalBM(0.75), (1.0, 2.0), [0.25, 0.5, 1.0]
-        want = _serial_paths(kernel, interval, self.N, self.TRIALS, 4, self.BATCH)
-        paths = sample_paths(kernel, interval, self.N, self.TRIALS, seed=4)
-        np.testing.assert_array_equal(paths, want)
-        est = ldp_curve(kernel, interval, self.N, u, self.TRIALS, seed=4)
-        hits = np.count_nonzero(want.min(axis=1)[:, None] > np.array(u), axis=0)
-        np.testing.assert_array_equal(est.hits, hits)
+        factor = self._factor()
+        want = _serial_paths(factor, 4, self.TRIALS, self.BATCH)
+        paths = sample_paths(self.KERNEL, self.INTERVAL, self.N, self.TRIALS, seed=4)
+        np.testing.assert_allclose(paths, want, rtol=1e-12, atol=1e-12)
+        pruned = _serial_paths(factor, 4, self.TRIALS, self.BATCH, floor=self.U[0])
+        minima = np.nanmin(pruned, axis=1)
+        hits = np.count_nonzero(minima[:, None] > np.array(self.U), axis=0)
+        np.testing.assert_array_equal(self._curve().hits, hits)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_call_across_every_block_gives_the_pool_paths(self, monkeypatch, workers):
         monkeypatch.setattr(_threads, "WORKERS", workers)
-        kernel, interval, u = FractionalBM(0.75), (1.0, 2.0), [0.25, 0.5, 1.0]
-        factor, _ = factorize(discretize(kernel, Grid(*interval, self.N)))
-        z = normal_block(4, 0, self.TRIALS, self.N)
-        want = np.concatenate([
-            z[start : start + self.BATCH] @ factor.T
-            for start in range(0, self.TRIALS, self.BATCH)
-        ])
-        paths = sample_paths(kernel, interval, self.N, self.TRIALS, seed=4)
+        factor = self._factor()
+        want = normal_block(4, 0, self.TRIALS, self.N) @ factor.T
+        paths = sample_paths(self.KERNEL, self.INTERVAL, self.N, self.TRIALS, seed=4)
         np.testing.assert_array_equal(paths, want)
-        est = ldp_curve(kernel, interval, self.N, u, self.TRIALS, seed=4)
-        hits = np.count_nonzero(want.min(axis=1)[:, None] > np.array(u), axis=0)
-        np.testing.assert_array_equal(est.hits, hits)
+        # the pool's hits are the one-thread loop's over the same blocks
+        minima = np.concatenate([
+            montecarlo._block_minima(4, k, self.TRIALS, factor, self.U[0]) for k in range(10)
+        ])
+        hits = np.count_nonzero(minima[:, None] > np.array(self.U), axis=0)
+        np.testing.assert_array_equal(self._curve().hits, hits)
+        # with a floor below every path value no row leaves
+        minima = np.concatenate([
+            montecarlo._block_minima(4, k, self.TRIALS, factor, -np.inf) for k in range(10)
+        ])
+        np.testing.assert_allclose(minima, want.min(axis=1), rtol=1e-12)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_look_ahead_is_bounded(self, monkeypatch, workers):
+    def test_ragged_last_block_gives_the_rows_of_a_longer_run(self):
+        factor = self._factor()
+        short = montecarlo._block_minima(4, 9, self.TRIALS, factor, self.U[0])
+        full = montecarlo._block_minima(4, 9, 100, factor, self.U[0])
+        assert short.size == 5
+        np.testing.assert_array_equal(short, full[:5])
+        minima = np.concatenate([
+            montecarlo._block_minima(4, k, 100, factor, self.U[0]) for k in range(10)
+        ])
+        hits = np.count_nonzero(minima[: self.TRIALS, None] > np.array(self.U), axis=0)
+        np.testing.assert_array_equal(self._curve().hits, hits)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_look_ahead_is_bounded(self, monkeypatch, pool_log, workers):
         monkeypatch.setattr(_threads, "WORKERS", workers)
-        real = montecarlo.normal_block
-        received = 0
-        ahead = []  # per draw: its batch index minus the batches handed out
+        real = montecarlo._block_minima
 
-        def recorder(seed, start_trial, trials, draws_per_trial):
-            ahead.append(start_trial // self.BATCH - received)
-            return real(seed, start_trial, trials, draws_per_trial)
+        def slow(*args):
+            time.sleep(0.005)  # slow workers: the caller waits on every take
+            return real(*args)
 
-        monkeypatch.setattr(montecarlo, "normal_block", recorder)
-        for _ in montecarlo._path_batches(
-            BrownianMotion(), (1.0, 2.0), self.N, self.TRIALS, 0
-        ):
-            time.sleep(0.005)  # a slow consumer lets the workers run ahead
-            received += 1
-        assert received == len(ahead) == 10
-        assert max(ahead) <= workers + 1
+        monkeypatch.setattr(montecarlo, "_block_minima", slow)
+        self._curve()
+        assert sorted(pool_log["started"]) == list(range(10))
+        assert len(pool_log["pending"]) == 10
+        assert max(pool_log["pending"]) == workers + 1
+        assert pool_log["open"] == 0
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(_threads, "WORKERS", 2)
-        real = montecarlo.normal_block
+        real = montecarlo._block_minima
 
-        def failing(seed, start_trial, trials, draws_per_trial):
-            if start_trial == 3 * self.BATCH:
+        def failing(seed, k, trials, factor, floor):
+            if k == 3:
                 raise RuntimeError("draw failed")
-            return real(seed, start_trial, trials, draws_per_trial)
+            return real(seed, k, trials, factor, floor)
 
-        monkeypatch.setattr(montecarlo, "normal_block", failing)
+        monkeypatch.setattr(montecarlo, "_block_minima", failing)
         before = set(threading.enumerate())
         raised = []
 
@@ -444,13 +537,17 @@ class TestDrawPool:
         )
         assert res.stdout.strip() == "False"
 
-    def test_closing_early_joins_the_workers(self, monkeypatch):
+    def test_closing_early_joins_the_workers(self, monkeypatch, pool_log):
+        # the caller is interrupted as it takes the second block: no later
+        # block is submitted or started, and the pool's threads are joined
         monkeypatch.setattr(_threads, "WORKERS", 2)
+        pool_log["interrupt_take"] = 2  # blocks 0 to 3 are submitted by then
         before = set(threading.enumerate())
-        batches = montecarlo._path_batches(BrownianMotion(), (1.0, 2.0), self.N, self.TRIALS, 0)
-        next(batches)
-        batches.close()
+        with pytest.raises(KeyboardInterrupt):
+            self._curve()
         assert set(threading.enumerate()) <= before
+        assert len(pool_log["pending"]) == 4
+        assert set(pool_log["started"]) <= set(range(4))
 
 
 class TestMeasuredLevels:
@@ -481,10 +578,11 @@ class TestMeasuredLevels:
 
     def test_pinned_hit_vectors(self):
         # the benchmark's simulate cases at seeds 22 and 23: exact hits
-        # guard the per-block SFC64 ziggurat stream and the batch order
+        # guard the column-block SFC64 ziggurat stream drawn for the paths
+        # still above the lowest level
         est = ldp_curve(
             BrownianMotion(), (1.0, 2.0), 200, [1.0, 1.5, 2.0, 2.5], 200_000, seed=22
         )
-        assert est.hits.tolist() == [12382, 4579, 1438, 357]
+        assert est.hits.tolist() == [12293, 4520, 1358, 349]
         est = ldp_curve(BrownianMotion(), (1.0, 2.0), 1000, [1.0, 1.5, 2.0], 25_000, seed=23)
-        assert est.hits.tolist() == [1528, 544, 164]
+        assert est.hits.tolist() == [1503, 562, 177]
