@@ -60,7 +60,6 @@ from .measures import (
     DiscreteMeasure,
     Grid,
     c_star,
-    combine,
     dirac,
     load_measure,
     save_measure,
@@ -84,11 +83,8 @@ from .solver import (
 )
 from .montecarlo import (
     LdpEstimate,
-    estimate_tail,
     factorize,
     ldp_curve,
-    normal_block,
-    sample_paths,
 )
 from .config import RunConfig, build_kernel, load_config
 
@@ -130,21 +126,17 @@ __all__ = [
     "build_kernel",
     "c_star",
     "check_optimality",
-    "combine",
     "decomposition_residual",
     "dirac",
     "discretize",
     "energy",
-    "estimate_tail",
     "extract_measure",
     "factorize",
     "ldp_curve",
     "load_config",
     "load_measure",
-    "normal_block",
     "potential",
     "rate",
-    "sample_paths",
     "save_measure",
     "solve",
     "three_point",

@@ -40,7 +40,6 @@ __all__ = [
     "two_point",
     "three_point",
     "c_star",
-    "combine",
     "save_measure",
     "load_measure",
 ]
@@ -193,16 +192,6 @@ def c_star(kernel, h):
     if not np.isfinite(value):
         raise DegenerateKernelError(f"center weight ratio is not finite: {value}")
     return float(value)
-
-
-def combine(mu, nu, lam):
-    """Convex combination lam * mu + (1 - lam) * nu."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    return DiscreteMeasure(
-        np.concatenate([mu.locations, nu.locations]),
-        np.concatenate([lam * mu.weights, (1.0 - lam) * nu.weights]),
-    )
 
 
 def _atomic_write_text(path, text):

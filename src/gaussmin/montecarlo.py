@@ -14,15 +14,15 @@ trial block k is drawn row-major by numpy's ziggurat sampler (Marsaglia &
 Tsang, J. Stat. Softw. 5, 2000) from its own stream,
 SFC64(SeedSequence(seed, spawn_key=(k, c))).
 
-Hit counting draws each column block only for the rows whose running
-minimum is still above the lowest level, builds their coordinates of that
-block, and drops the rest: a path at or below the lowest level can exceed
-no level, and a path built to the end has its exact minimum.  So a path's
-normals after its first column block depend on the lowest level of the
-call, while its hits stay exact for that call.  normal_block and
-sample_paths are the case where no row leaves, with the full product.
+Hit counting is the only place normals are drawn and paths built.  It
+draws each column block only for the rows whose running minimum is still
+above the lowest level, builds their coordinates of that block, and drops
+the rest: a path at or below the lowest level can exceed no level, and a
+path built to the end has its exact minimum.  So a path's normals after
+its first column block depend on the lowest level of the call, while its
+hits stay exact for that call.
 
-Results do not depend on how trials are split into calls or on the
+A trial's path does not depend on the total number of trials or on the
 worker count, and reruns with the same seed are bit-for-bit identical.
 That is what lets a pool of GAUSSMIN_THREADS workers (see _threads) each
 take a whole trial block, numpy releasing the interpreter lock in the
@@ -46,9 +46,6 @@ from .solver import discretize
 __all__ = [
     "LdpEstimate",
     "factorize",
-    "normal_block",
-    "sample_paths",
-    "estimate_tail",
     "ldp_curve",
 ]
 
@@ -108,42 +105,6 @@ def _normals(seed, k, c, rows, width):
     return np.random.Generator(np.random.SFC64(stream)).standard_normal((rows, width))
 
 
-def normal_block(seed, start_trial, trials, draws_per_trial):
-    """Standard normals for trials [start_trial, start_trial + trials).
-
-    Trial block k holds trials [k * rows, (k + 1) * rows), rows =
-    max(1, _BATCH_DOUBLES // draws_per_trial); its column block c (widths
-    8, 16, 32, ...) is Generator(SFC64(SeedSequence(seed, spawn_key=(k,
-    c)))).standard_normal, filled row-major.  A call that starts inside a
-    trial block draws and drops its earlier rows, so any split of the
-    trials into calls produces identical numbers.
-    """
-    rows = _block_rows(draws_per_trial)
-    z = np.empty((trials, draws_per_trial))
-    trial, stop = start_trial, start_trial + trials
-    while trial < stop:
-        k, skip = divmod(trial, rows)
-        take = min(rows - skip, stop - trial)
-        row = trial - start_trial
-        for c, (c0, c1) in enumerate(_column_blocks(draws_per_trial)):
-            z[row : row + take, c0:c1] = _normals(seed, k, c, skip + take, c1 - c0)[skip:]
-        trial += take
-    return z
-
-
-def _grid_factor(kernel, interval, n, trials):
-    """(factor, jitter) of the grid covariance, once trials is checked."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    return factorize(discretize(kernel, Grid(*interval, n)))
-
-
-def sample_paths(kernel, interval, n, trials, seed=0):
-    """Simulate `trials` paths on n >= 2 grid nodes; rows are paths."""
-    factor, _ = _grid_factor(kernel, interval, n, trials)
-    return normal_block(seed, 0, trials, n) @ factor.T
-
-
 def _block_minima(seed, k, trials, factor, floor):
     """Path minima of the trials in block k, exact only where they exceed floor.
 
@@ -182,7 +143,9 @@ def _hits(kernel, interval, n, u, trials, seed):
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    factor, jitter = _grid_factor(kernel, interval, n, trials)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    factor, jitter = factorize(discretize(kernel, Grid(*interval, n)))
 
     def block_hits(k):
         minima = _block_minima(seed, k, trials, factor, u[0])
@@ -201,18 +164,6 @@ def _hits(kernel, interval, n, u, trials, seed):
     finally:
         pool.shutdown(cancel_futures=True)
     return hits, jitter
-
-
-def estimate_tail(kernel, interval, n, u, trials, seed=0):
-    """Crude MC estimate of P(min over the grid nodes > u).
-
-    Returns (p_hat, hits).  u may be zero (useful as a symmetry sanity
-    check).
-    """
-    if not 0.0 <= u < np.inf:
-        raise ValueError(f"level must be finite and nonnegative, got {u}")
-    hits = int(_hits(kernel, interval, n, np.array([float(u)]), trials, seed)[0][0])
-    return hits / trials, hits
 
 
 @dataclass(frozen=True, eq=False)

@@ -88,7 +88,8 @@ class SolverResult:
     tolerance; hitting max_iter or a stalled round first leaves converged
     False and the caller decides what to do with the (still feasible)
     weights.
-    energy_trace is populated only when solve(..., history=True).
+    energy_trace holds the energy at the start and after each round of
+    solve, iterations + 1 floats.
     """
 
     weights: np.ndarray
@@ -99,7 +100,7 @@ class SolverResult:
     energy_trace: np.ndarray | None = None
 
 
-def solve(problem, tol=1e-9, max_iter=200_000, history=False):
+def solve(problem, tol=1e-9, max_iter=200_000):
     """Primal active-set rounds from the best vertex.
 
     The start is the node with the smallest variance (lowest index on
@@ -125,7 +126,7 @@ def solve(problem, tol=1e-9, max_iter=200_000, history=False):
     # M is symmetric, so its contiguous rows serve as columns
     g = 2.0 * M[start]
     energy = float(M[start, start])
-    trace = [energy] if history else None
+    trace = [energy]
 
     iterations = 0
     single = False
@@ -151,8 +152,7 @@ def solve(problem, tol=1e-9, max_iter=200_000, history=False):
         stalled = single and np.array_equal(trial, w)
         single = not trial_energy < energy
         w, energy = trial, trial_energy
-        if trace is not None:
-            trace.append(energy)
+        trace.append(energy)
         if stalled:
             break
 
@@ -169,7 +169,7 @@ def solve(problem, tol=1e-9, max_iter=200_000, history=False):
         equilibrium_gap=final_gap,
         iterations=iterations,
         converged=converged,
-        energy_trace=None if trace is None else np.asarray(trace),
+        energy_trace=np.asarray(trace),
     )
 
 

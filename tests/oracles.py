@@ -39,22 +39,29 @@ def discrete_min_tail(a, b, n, u, m=3001, width=12.0):
     Propagates the sub-probability density of (X(t_i), all previous
     values > u) through the Gaussian transition kernel, trapezoid rule
     on [u, u+width].  The estimand matches what the sampler simulates:
-    the grid minimum, not the continuous one.
+    the grid minimum, not the continuous one.  u is one level (the
+    result is a float) or a sequence of levels (an array).
     """
-    x = np.linspace(u, u + width, m)
-    wts = np.full(m, x[1] - x[0])
+    levels = np.asarray(u, dtype=float)
+    step = width / (m - 1)
+    offsets = np.arange(m) * step
+    wts = np.full(m, step)
     wts[0] *= 0.5
     wts[-1] *= 0.5
     nodes = np.linspace(a, b, n)
+    # one column of densities per level, on the points u + offsets
+    x = np.atleast_1d(levels)[None, :] + offsets[:, None]
     rho = np.exp(-x * x / (2.0 * nodes[0])) / np.sqrt(2.0 * np.pi * nodes[0])
-    # the grid is uniform, so one transition matrix serves every step
+    # the grid is uniform and the transition density depends only on the
+    # offset between points, so one matrix serves every step and level
     dt = nodes[1] - nodes[0]
-    kern = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * dt))
+    kern = np.exp(-((offsets[:, None] - offsets[None, :]) ** 2) / (2.0 * dt))
     kern /= np.sqrt(2.0 * np.pi * dt)
     kern = kern * wts[None, :]
     for _ in range(n - 1):
         rho = kern @ rho
-    return float(rho @ wts)
+    tail = wts @ rho
+    return float(tail[0]) if levels.ndim == 0 else tail
 
 
 def _weight_lattice(dim, step=0.01):

@@ -229,8 +229,7 @@ def test_monte_carlo_trend_matches_oracle():
     assert np.all(np.diff(est.log_p_over_u2) > 0.0)
     assert np.all(est.log_p_over_u2 < -0.5)
 
-    for i, u in enumerate(levels):
-        p_grid = discrete_min_tail(a, b, n, u)
+    for i, (u, p_grid) in enumerate(zip(levels, discrete_min_tail(a, b, n, levels))):
         se = np.sqrt(p_grid * (1.0 - p_grid) / trials)
         assert abs(est.p_hat[i] - p_grid) <= 3.0 * se, u
         assert est.p_hat[i] >= reflection_tail(a, b, u) - 3.0 * se, u

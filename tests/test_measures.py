@@ -14,7 +14,6 @@ from gaussmin import (
     GridError,
     IntervalError,
     c_star,
-    combine,
     dirac,
     load_measure,
     save_measure,
@@ -151,22 +150,6 @@ class TestCStar:
 
         with pytest.raises(DegenerateKernelError):
             c_star(Flat(), 1.0)
-
-
-class TestCombine:
-    def test_convexity(self):
-        mu = combine(dirac(0.0), dirac(1.0), 0.25)
-        assert np.array_equal(mu.locations, np.array([0.0, 1.0]))
-        assert np.allclose(mu.weights, np.array([0.25, 0.75]))
-
-    def test_overlapping_atoms_merge(self):
-        mu = combine(two_point(0.0, 1.0), dirac(1.0), 0.5)
-        assert len(mu) == 2
-        assert mu.weights[1] == pytest.approx(0.75)
-
-    def test_lambda_range(self):
-        with pytest.raises(ValueError):
-            combine(dirac(0.0), dirac(1.0), 1.5)
 
 
 class TestMeasureIO:

@@ -22,11 +22,8 @@ from gaussmin import (
     GridError,
     LdpEstimate,
     discretize,
-    estimate_tail,
     factorize,
     ldp_curve,
-    normal_block,
-    sample_paths,
 )
 from oracles import discrete_min_tail, reflection_tail
 
@@ -44,21 +41,6 @@ def _column_draw(seed, k, c, rows, width):
     return np.random.Generator(bits).standard_normal((rows, width))
 
 
-def _ziggurat_oracle(seed, start_trial, trials, draws_per_trial, rows):
-    # column-block SFC64 ziggurat stream, frozen: trial i is row i % rows of
-    # block i // rows, whose column block c (widths 8, 16, 32, ...) is drawn
-    # whole from its own spawned seed (k, c)
-    def block(k):
-        return np.hstack([
-            _column_draw(seed, k, c, rows, c1 - c0)
-            for c, (c0, c1) in enumerate(_column_ranges(draws_per_trial))
-        ])
-
-    trial_ids = range(start_trial, start_trial + trials)
-    blocks = {k: block(k) for k in {i // rows for i in trial_ids}}
-    return np.array([blocks[i // rows][i % rows] for i in trial_ids])
-
-
 def _serial_paths(factor, seed, trials, rows, floor=-np.inf):
     # the pruned column-block stream, frozen, one trial block at a time:
     # column block c of trial block k is drawn row-major for the trials
@@ -74,6 +56,15 @@ def _serial_paths(factor, seed, trials, rows, floor=-np.inf):
             paths[alive, :c1] = z[alive, :c1] @ factor[:c1, :c1].T
             alive = alive[paths[alive, :c1].min(axis=1) > floor]
     return paths
+
+
+def _stream_minima(seed, trials, factor, floor=-np.inf):
+    # _block_minima over every trial block of one call, in trial order
+    rows = montecarlo._block_rows(factor.shape[0])
+    return np.concatenate([
+        montecarlo._block_minima(seed, k, trials, factor, floor)
+        for k in range(-(-trials // rows))
+    ])
 
 
 def _problem(matrix):
@@ -110,56 +101,65 @@ class TestFactorize:
 
 
 class TestNormalBlock:
+    """The fixed trial blocks of normals, read through _block_minima.
+
+    With an identity factor a path is its normals, so with no floor a row's
+    minimum is the minimum of its normals, and at n = 1 its one normal.
+    """
+
     def test_schedule_independence(self):
-        full = normal_block(123, 0, 200, 7)
-        parts = np.vstack([
-            normal_block(123, 0, 1, 7),
-            normal_block(123, 1, 49, 7),
-            normal_block(123, 50, 150, 7),
-        ])
-        np.testing.assert_array_equal(full, parts)
+        # every row is alive in the first column block, so up to 8 nodes
+        # the minima do not depend on the floor
+        eye = np.eye(7)
+        full = _stream_minima(123, 200, eye)
+        for floor in (0.0, 1.0):
+            np.testing.assert_array_equal(_stream_minima(123, 200, eye, floor), full)
 
     @pytest.mark.parametrize("draws", [1, 4, 5, 8, 200])
     def test_any_width_splits_identically(self, draws):
-        full = normal_block(7, 0, 64, draws)
-        split = np.vstack([normal_block(7, 0, 32, draws), normal_block(7, 32, 32, draws)])
-        np.testing.assert_array_equal(full, split)
+        # pruned at 0, the first 32 trials of a 64-trial call are a 32-trial call
+        eye = np.eye(draws)
+        full = _stream_minima(7, 64, eye, floor=0.0)
+        np.testing.assert_array_equal(full[:32], _stream_minima(7, 32, eye, floor=0.0))
 
     def test_deterministic_per_seed(self):
-        np.testing.assert_array_equal(
-            normal_block(5, 10, 20, 3), normal_block(5, 10, 20, 3)
-        )
-        assert not np.array_equal(normal_block(5, 0, 20, 3), normal_block(6, 0, 20, 3))
+        eye = np.eye(3)
+        np.testing.assert_array_equal(_stream_minima(5, 20, eye), _stream_minima(5, 20, eye))
+        assert not np.array_equal(_stream_minima(5, 20, eye), _stream_minima(6, 20, eye))
 
-    def test_shape(self):
-        assert normal_block(0, 0, 13, 5).shape == (13, 5)
+    def test_shape(self, monkeypatch):
+        # at 30 doubles a block is 6 trials of 5 nodes: 13 trials are 6, 6, 1
+        monkeypatch.setattr(montecarlo, "_BATCH_DOUBLES", 30)
+        sizes = [montecarlo._block_minima(0, k, 13, np.eye(5), -np.inf).size for k in range(3)]
+        assert sizes == [6, 6, 1]
 
     @pytest.mark.parametrize("batch_doubles", [100, 4_000_000])
     @pytest.mark.parametrize("draws", [1, 7, 201])
     def test_matches_frozen_ziggurat_blocks(self, monkeypatch, batch_doubles, draws):
-        # at 100 doubles a block is 100, 14 or 1 trials: trials 57..356 start
-        # inside a block and cross block boundaries
+        # at 100 doubles a block is 100, 14 or 1 trials: 357 trials cross
+        # block boundaries, the last block ragged
         monkeypatch.setattr(montecarlo, "_BATCH_DOUBLES", batch_doubles)
         rows = max(1, batch_doubles // draws)
+        eye = np.eye(draws)
         np.testing.assert_array_equal(
-            normal_block(31, 57, 300, draws), _ziggurat_oracle(31, 57, 300, draws, rows)
+            _stream_minima(31, 357, eye), _serial_paths(eye, 31, 357, rows).min(axis=1)
         )
 
     @pytest.mark.parametrize("draws", [1, 3, 10, 150])
     def test_splits_straddling_blocks_equal_the_whole_draw(self, monkeypatch, draws):
-        # at 30 doubles a block is 30, 10, 3 or 1 trials, so every cut below
-        # starts or ends a call inside a block or on a boundary between two
+        # at 30 doubles a block is 30, 10, 3 or 1 trials, so every total
+        # below ends a call inside a block or on a boundary between two;
+        # the rows a call has are the first rows of a longer call's
         monkeypatch.setattr(montecarlo, "_BATCH_DOUBLES", 30)
-        full = normal_block(3, 0, 100, draws)
-        for cuts in ([1, 29, 31, 59, 61], [9, 11, 45, 70], [99]):
-            edges = [0, *cuts, 100]
-            parts = np.vstack([
-                normal_block(3, lo, hi - lo, draws) for lo, hi in zip(edges, edges[1:])
-            ])
-            np.testing.assert_array_equal(full, parts)
+        eye = np.eye(draws)
+        full = _stream_minima(3, 100, eye, floor=0.0)
+        for total in (1, 9, 11, 29, 31, 45, 59, 61, 70, 99):
+            np.testing.assert_array_equal(
+                _stream_minima(3, total, eye, floor=0.0), full[:total]
+            )
 
     def test_moments(self):
-        z = normal_block(2, 0, 4000, 6).ravel()
+        z = _stream_minima(2, 24_000, np.eye(1))
         n = z.size
         assert abs(z.mean()) <= 5.0 / np.sqrt(n)
         assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
@@ -169,7 +169,8 @@ class TestSamplePaths:
     def test_sample_covariance_matches_kernel(self):
         kernel = BrownianMotion()
         trials = 100_000
-        paths = sample_paths(kernel, (1.0, 2.0), 3, trials, seed=4)
+        factor, _ = factorize(discretize(kernel, Grid(1.0, 2.0, 3)))
+        paths = _serial_paths(factor, 4, trials, montecarlo._block_rows(3))
         t = Grid(1.0, 2.0, 3).nodes
         true = np.minimum(t[:, None], t[None, :])
         sample = paths.T @ paths / trials
@@ -179,28 +180,30 @@ class TestSamplePaths:
 
     def test_trials_validation(self):
         with pytest.raises(ValueError, match="trials"):
-            sample_paths(BrownianMotion(), (1.0, 2.0), 3, 0)
+            montecarlo._hits(BrownianMotion(), (1.0, 2.0), 3, np.array([0.0]), 0, 0)
 
     def test_trial_rows_do_not_depend_on_total(self):
-        a = sample_paths(BrownianMotion(), (1.0, 2.0), 10, 300, seed=9)
-        b = sample_paths(BrownianMotion(), (1.0, 2.0), 10, 100, seed=9)
-        np.testing.assert_array_equal(a[:100], b)
+        factor, _ = factorize(discretize(BrownianMotion(), Grid(1.0, 2.0, 10)))
+        a = _stream_minima(9, 300, factor)
+        np.testing.assert_array_equal(a[:100], _stream_minima(9, 100, factor))
 
 
 class TestEstimateTail:
+    """One-level tail estimates: ldp_curve at a single level."""
+
     def test_level_zero_two_nodes_is_three_eighths(self):
         # nodes 1 and 2 carry a centered bivariate normal with correlation
-        # 1/sqrt(2), so P(both > 0) = 1/4 + arcsin(1/sqrt(2)) / (2 pi) = 3/8
+        # 1/sqrt(2), so P(both > 0) = 1/4 + arcsin(1/sqrt(2)) / (2 pi) = 3/8;
+        # ldp_curve takes only positive levels, so count at 0 directly
         trials, p = 100_000, 3.0 / 8.0
-        p_hat, hits = estimate_tail(BrownianMotion(), (1.0, 2.0), 2, 0.0, trials, seed=1)
-        assert hits == pytest.approx(p * trials, abs=3 * np.sqrt(p * (1.0 - p) * trials))
-        assert p_hat == hits / trials
+        hits, _ = montecarlo._hits(BrownianMotion(), (1.0, 2.0), 2, np.array([0.0]), trials, 1)
+        assert hits[0] == pytest.approx(p * trials, abs=3 * np.sqrt(p * (1.0 - p) * trials))
 
     def test_matches_transition_quadrature_oracle(self):
         # frozen reference: 1e6 paths on 200 nodes against the discrete
         # minimum oracle at the same nodes
         trials, n, u = 1_000_000, 200, 1.0
-        p_hat, hits = estimate_tail(BrownianMotion(), (1.0, 2.0), n, u, trials, seed=2026)
+        p_hat = ldp_curve(BrownianMotion(), (1.0, 2.0), n, [u], trials, seed=2026).p_hat[0]
         p_true = discrete_min_tail(1.0, 2.0, n, u)
         se = np.sqrt(p_true * (1.0 - p_true) / trials)
         assert abs(p_hat - p_true) <= 3.0 * se
@@ -215,27 +218,27 @@ class TestEstimateTail:
         factor, _ = factorize(discretize(kernel, Grid(1.0, 2.0, 10)))
         minima = np.nanmin(_serial_paths(factor, 9, 3000, 400_000, floor=0.5), axis=1)
         expected = int(np.count_nonzero(minima[:1000] > 0.5))
-        p_hat, hits = estimate_tail(kernel, (1.0, 2.0), 10, 0.5, 1000, seed=9)
-        assert hits == expected
-        assert p_hat == expected / 1000
+        est = ldp_curve(kernel, (1.0, 2.0), 10, [0.5], 1000, seed=9)
+        assert est.hits[0] == expected
+        assert est.p_hat[0] == expected / 1000
 
     @pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
     def test_equals_the_lowest_level_of_a_curve(self, u):
         # both prune at u, so they draw the same normals
         kernel, interval = FractionalBM(0.75), (1.0, 2.0)
-        _, hits = estimate_tail(kernel, interval, 30, u, 5000, seed=3)
+        hits = ldp_curve(kernel, interval, 30, [u], 5000, seed=3).hits[0]
         assert hits == ldp_curve(kernel, interval, 30, [u, u + 1.0], 5000, seed=3).hits[0]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):
-            estimate_tail(BrownianMotion(), (1.0, 2.0), 3, 1.0, 0)
-        with pytest.raises(ValueError, match="level"):
-            estimate_tail(BrownianMotion(), (1.0, 2.0), 3, -0.5, 10)
+            ldp_curve(BrownianMotion(), (1.0, 2.0), 3, [1.0], 0)
+        with pytest.raises(ValueError, match="positive"):
+            ldp_curve(BrownianMotion(), (1.0, 2.0), 3, [-0.5], 10)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
-                estimate_tail(BrownianMotion(), (1.0, 2.0), 3, bad, 10)
+                ldp_curve(BrownianMotion(), (1.0, 2.0), 3, [bad], 10)
         with pytest.raises(GridError, match="2 nodes"):
-            estimate_tail(BrownianMotion(), (1.0, 2.0), 1, 0.0, 10)
+            ldp_curve(BrownianMotion(), (1.0, 2.0), 1, [1.0], 10)
 
 
 class TestLdpCurve:
@@ -309,16 +312,6 @@ class TestLdpCurve:
         with pytest.raises(ValueError, match="trials"):
             ldp_curve(kernel, (1.0, 2.0), 20, [1.0], 0)
 
-    def test_refining_the_grid_lowers_the_minimum_per_path(self):
-        # odd fine grid contains the coarse grid as every other node, so
-        # each path's coarse minimum dominates its fine minimum
-        paths = sample_paths(FractionalBM(0.75), (1.0, 2.0), 41, 2000, seed=6)
-        fine_min = paths.min(axis=1)
-        coarse_min = paths[:, ::2].min(axis=1)
-        assert np.all(coarse_min >= fine_min)
-        u = 0.8
-        assert np.count_nonzero(coarse_min > u) >= np.count_nonzero(fine_min > u)
-
 
 @st.composite
 def pruning_cases(draw):
@@ -332,7 +325,8 @@ def pruning_cases(draw):
         kernel, interval = FractionalBM(hurst), (1.0, 2.0)
     trials = draw(st.integers(1, 500))
     seed = draw(st.integers(0, 2**32 - 1))
-    paths = sample_paths(kernel, interval, n, trials, seed)
+    factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
+    paths = _serial_paths(factor, seed, trials, trials)
     first = np.sort(paths[:, :8].ravel())
     where = draw(st.sampled_from(["below", "inside", "above"]))
     if where == "below":
@@ -342,11 +336,11 @@ def pruning_cases(draw):
     else:
         k = draw(st.integers(0, first.size - 2))
         floor = 0.5 * (first[k] + first[k + 1])
-    return kernel, interval, n, trials, seed, paths, floor
+    return factor, trials, seed, floor
 
 
 class TestPathMinima:
-    """The per-block pruned product against the full one and the oracle.
+    """The per-block pruned product against the frozen pruned stream.
 
     At n <= 300 one trial block holds every trial, so block 0 is ragged.
     """
@@ -354,14 +348,10 @@ class TestPathMinima:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(pruning_cases())
     def test_matches_the_full_product(self, case):
-        kernel, interval, n, trials, seed, paths, floor = case
-        factor, _ = factorize(discretize(kernel, Grid(*interval, n)))
+        factor, trials, seed, floor = case
         minima = montecarlo._block_minima(seed, 0, trials, factor, floor)
         oracle = _serial_paths(factor, seed, trials, trials, floor)
         want = np.nanmin(oracle, axis=1)
-        if floor < paths.min():
-            # nothing leaves: the paths are sample_paths'
-            want = paths.min(axis=1)
         kept = minima > floor
         np.testing.assert_array_equal(kept, want > floor)
         np.testing.assert_allclose(
@@ -431,11 +421,7 @@ class TestDrawPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_paths_and_hits_for_any_worker_count(self, monkeypatch, workers):
         monkeypatch.setattr(_threads, "WORKERS", workers)
-        factor = self._factor()
-        want = _serial_paths(factor, 4, self.TRIALS, self.BATCH)
-        paths = sample_paths(self.KERNEL, self.INTERVAL, self.N, self.TRIALS, seed=4)
-        np.testing.assert_allclose(paths, want, rtol=1e-12, atol=1e-12)
-        pruned = _serial_paths(factor, 4, self.TRIALS, self.BATCH, floor=self.U[0])
+        pruned = _serial_paths(self._factor(), 4, self.TRIALS, self.BATCH, floor=self.U[0])
         minima = np.nanmin(pruned, axis=1)
         hits = np.count_nonzero(minima[:, None] > np.array(self.U), axis=0)
         np.testing.assert_array_equal(self._curve().hits, hits)
@@ -444,20 +430,15 @@ class TestDrawPool:
     def test_one_call_across_every_block_gives_the_pool_paths(self, monkeypatch, workers):
         monkeypatch.setattr(_threads, "WORKERS", workers)
         factor = self._factor()
-        want = normal_block(4, 0, self.TRIALS, self.N) @ factor.T
-        paths = sample_paths(self.KERNEL, self.INTERVAL, self.N, self.TRIALS, seed=4)
-        np.testing.assert_array_equal(paths, want)
         # the pool's hits are the one-thread loop's over the same blocks
-        minima = np.concatenate([
-            montecarlo._block_minima(4, k, self.TRIALS, factor, self.U[0]) for k in range(10)
-        ])
+        minima = _stream_minima(4, self.TRIALS, factor, self.U[0])
         hits = np.count_nonzero(minima[:, None] > np.array(self.U), axis=0)
         np.testing.assert_array_equal(self._curve().hits, hits)
         # with a floor below every path value no row leaves
-        minima = np.concatenate([
-            montecarlo._block_minima(4, k, self.TRIALS, factor, -np.inf) for k in range(10)
-        ])
-        np.testing.assert_allclose(minima, want.min(axis=1), rtol=1e-12)
+        want = _serial_paths(factor, 4, self.TRIALS, self.BATCH)
+        np.testing.assert_allclose(
+            _stream_minima(4, self.TRIALS, factor), want.min(axis=1), rtol=1e-12
+        )
 
     def test_ragged_last_block_gives_the_rows_of_a_longer_run(self):
         factor = self._factor()
@@ -465,9 +446,7 @@ class TestDrawPool:
         full = montecarlo._block_minima(4, 9, 100, factor, self.U[0])
         assert short.size == 5
         np.testing.assert_array_equal(short, full[:5])
-        minima = np.concatenate([
-            montecarlo._block_minima(4, k, 100, factor, self.U[0]) for k in range(10)
-        ])
+        minima = _stream_minima(4, 100, factor, self.U[0])
         hits = np.count_nonzero(minima[: self.TRIALS, None] > np.array(self.U), axis=0)
         np.testing.assert_array_equal(self._curve().hits, hits)
 

@@ -95,15 +95,14 @@ class TestSolve:
 
     def test_energy_trace_nonincreasing(self):
         prob = discretize(FractionalGaussianNoise(0.6, 1.0), Grid(0.0, 2.0, 51))
-        result = solve(prob, tol=1e-7, history=True)
+        result = solve(prob, tol=1e-7)
         trace = result.energy_trace
-        assert trace is not None
         assert len(trace) == result.iterations + 1
         assert np.all(np.diff(trace) <= 0.0)
 
-    def test_no_history_by_default(self):
+    def test_energy_trace_is_always_recorded(self):
         result = solve(_problem(np.eye(3)))
-        assert result.energy_trace is None
+        assert len(result.energy_trace) == result.iterations + 1
 
     def test_identity_gives_uniform_weights(self):
         result = solve(_problem(np.eye(4)), tol=1e-12)
@@ -144,7 +143,7 @@ class TestSolve:
     def test_rough_kernel_converges(self):
         # H=0.3 has no closed form and spreads its minimizer over many nodes
         prob = discretize(FractionalGaussianNoise(0.3, 1.0), Grid(0.0, 3.0, 401))
-        result = solve(prob, tol=1e-9, history=True)
+        result = solve(prob, tol=1e-9)
         assert result.converged
         assert result.equilibrium_gap <= 1e-9
         assert np.all(np.diff(result.energy_trace) <= 0.0)
@@ -172,7 +171,7 @@ class TestSolve:
         assert np.all(x >= 0.0)
         assert np.sum(x) == pytest.approx(1.0, abs=1e-14)
 
-        result = solve(_problem(matrix), tol=1e-12, history=True)
+        result = solve(_problem(matrix), tol=1e-12)
         assert result.converged
         assert np.all(np.isfinite(result.energy_trace))
         assert np.all(np.diff(result.energy_trace) <= 0.0)
@@ -192,7 +191,7 @@ class TestSolve:
         kernel = FractionalGaussianNoise(0.5, 1.0)
         t = np.sort(np.random.default_rng(0).uniform(0.0, 1.5, 100))
         matrix = kernel.cov(t[:, None], t[None, :])
-        result = solve(_problem(matrix), tol=1e-12, max_iter=100, history=True)
+        result = solve(_problem(matrix), tol=1e-12, max_iter=100)
         # round r + 1 did not lower the energy, so round r + 2 is a fallback
         not_lowered = np.flatnonzero(np.diff(result.energy_trace) >= 0.0)
         fallbacks = not_lowered[not_lowered + 1 < result.iterations] + 1
