@@ -19,8 +19,9 @@ The covariance kernels (``kernels``) are three classes: ``FractionalBM``,
 are constructors that return ``FractionalBM(0.5)`` and
 ``IncrementOf(FractionalBM(H), h)``.
 
-``audits`` probes the structural assumptions behind each closed form,
-and ``cli`` exposes everything as the ``gaussmin`` command.
+``audits`` probes the structural assumptions behind each closed form and
+holds the one template lookup, ``closed_form``; ``cli`` exposes everything
+as the ``gaussmin`` command.
 """
 
 from . import _threads  # noqa: F401  thread caps must precede the numpy import
@@ -73,6 +74,8 @@ from .audits import (
     audit_increment_monotone,
     audit_nonneg_increments,
     audit_second_case,
+    applicable_audits,
+    closed_form,
 )
 from .solver import (
     DiscretizedProblem,
@@ -118,6 +121,7 @@ __all__ = [
     "SolverResult",
     "StationarityError",
     "Tabulated",
+    "applicable_audits",
     "audit_converse",
     "audit_first_case",
     "audit_increment_monotone",
@@ -126,6 +130,7 @@ __all__ = [
     "build_kernel",
     "c_star",
     "check_optimality",
+    "closed_form",
     "decomposition_residual",
     "dirac",
     "discretize",

@@ -22,6 +22,10 @@ Sign conventions per audit:
 * converse -- worst_violation is the smallest R(a, t) - R(a, a); pass
   needs >= -1e-12.  Requires a process pinned at the origin.
 
+``closed_form`` picks the template for a kernel and interval and runs only
+the audit that template rests on; ``applicable_audits`` runs every audit
+that speaks about the kernel type.
+
 All reports are bit-for-bit deterministic for a fixed seed.
 """
 
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateKernelError, PinnedOriginError
-from .kernels import finite_values
-from .measures import c_star
+from .kernels import IncrementOf, finite_values
+from .measures import c_star, dirac, three_point, two_point
 
 __all__ = [
     "AssumptionReport",
@@ -42,6 +46,8 @@ __all__ = [
     "audit_first_case",
     "audit_second_case",
     "audit_converse",
+    "closed_form",
+    "applicable_audits",
 ]
 
 SIGN_TOL = 1e-12
@@ -248,3 +254,65 @@ def audit_converse(kernel, a, b, n=1001):
         samples=n,
         seed=None,
     )
+
+
+def closed_form(kernel, a, b, samples=10_000, seed=0):
+    """Pick the closed-form minimizer of the energy on [a, b].
+
+    Returns (name, measure) when a template applies and (None, reason)
+    when none does; the reason is a printable sentence.  Only the audit the
+    template rests on runs: nonneg_increments for the left endpoint of a
+    pinned process, second_case for the three-point form at width 2h.
+
+    >>> from gaussmin import FractionalGaussianNoise
+    >>> name, mu = closed_form(FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0)
+    >>> name, mu.locations.tolist(), round(float(mu.weights[1]), 6)
+    ('three_point', [0.0, 1.0, 2.0], 0.273576)
+    >>> closed_form(FractionalGaussianNoise(0.75, 1.0), 0.0, 1.5)[1]
+    'interval width 1.5 is neither <= lag 1.0 nor equal to twice the lag'
+    """
+    if kernel.pinned_origin:
+        if audit_nonneg_increments(kernel, a, b, samples=samples, seed=seed).passed:
+            return "left_endpoint", dirac(a)
+        return None, (
+            "increment correlations go negative on the interval, so the "
+            "left-endpoint measure is not guaranteed optimal"
+        )
+    if not isinstance(kernel, IncrementOf):
+        return None, "no closed-form template covers this kernel type"
+    h, width = kernel.h, b - a
+    tol = 1e-12 * max(1.0, abs(a), abs(b), h)
+    if width <= h + tol:
+        return "two_point", two_point(a, b)
+    if abs(width - 2.0 * h) > tol:
+        return None, (
+            f"interval width {width!r} is neither <= lag {h!r} nor equal to "
+            f"twice the lag"
+        )
+    # a passing second_case has checked cstar > 0
+    if not audit_second_case(kernel, h).passed:
+        return None, (
+            "the interior-weight potential audit failed, so the "
+            "three-point template does not apply"
+        )
+    return "three_point", three_point(a, h, c_star(kernel, h))
+
+
+def applicable_audits(kernel, a, b, samples=10_000, seed=0, b_samples=11):
+    """Run every audit that speaks about the kernel type; returns the reports.
+
+    Nonnegative increment correlation backs the left-endpoint form, so it is
+    a hypothesis about pinned processes, not about increment kernels.
+    """
+    if kernel.pinned_origin:
+        return [
+            audit_nonneg_increments(kernel, a, b, samples=samples, seed=seed),
+            audit_converse(kernel, a, b),
+        ]
+    if isinstance(kernel, IncrementOf):
+        return [
+            audit_increment_monotone(kernel, samples=samples, seed=seed),
+            audit_first_case(kernel, b_samples=b_samples),
+            audit_second_case(kernel, kernel.h),
+        ]
+    return []

@@ -15,8 +15,10 @@ summary plus CSV tables there.  Exit codes: 0 success, 2 a verification,
 convergence, or assumption check failed, 3 no closed form applies to the
 configured problem, 4 malformed input or a kernel the operation does not
 apply to, 5 numerical failure (a covariance that cannot be factorized, a
-degenerate kernel, or a solution pruned to nothing).  Codes 4 and 5 print a
-one-line message on stderr.
+degenerate kernel, or a solution pruned to nothing).  Code 2 still prints
+the full summary.  Code 3 (from rate) prints nothing on stdout, only the
+reason and a pointer to solve on stderr; 4 and 5 print a one-line message
+on stderr.
 """
 
 from __future__ import annotations
@@ -39,15 +41,7 @@ from .errors import (
     GaussminError,
 )
 from .kernels import IncrementOf
-from .measures import (
-    Grid,
-    c_star,
-    dirac,
-    load_measure,
-    save_measure,
-    three_point,
-    two_point,
-)
+from .measures import Grid, c_star, load_measure, save_measure
 from .montecarlo import ldp_curve
 from .output import ensure_dir, render_pairs, write_csv, write_report, write_svg
 from .solver import discretize, extract_measure, solve
@@ -65,52 +59,12 @@ _VERIFY_GRID_TOL = 1e-8
 _NUMERICAL_ERRORS = (DegenerateKernelError, EmptyMeasureError, FactorizationError)
 
 
-def _kernel_label(cfg):
-    if not cfg.kernel_params:
-        return cfg.kernel_kind
-    inner = ", ".join(f"{k}={v}" for k, v in sorted(cfg.kernel_params.items()))
-    return f"{cfg.kernel_kind}({inner})"
-
-
-def _closed_form(kernel, cfg):
-    """Pick the closed-form minimizer for the configured problem.
-
-    Returns (name, measure) on success and (None, reason) when no
-    template applies; the reason is a printable sentence.
-    """
-    a, b = cfg.interval()
-    if kernel.pinned_origin:
-        rep = audits.audit_nonneg_increments(
-            kernel, a, b, samples=cfg.audit_samples, seed=cfg.audit_seed
-        )
-        if rep.passed:
-            return "left_endpoint", dirac(a)
-        return None, (
-            "increment correlations go negative on the interval, so the "
-            "left-endpoint measure is not guaranteed optimal"
-        )
-    if isinstance(kernel, IncrementOf):
-        h = kernel.h
-        width = b - a
-        tol = 1e-12 * max(1.0, abs(a), abs(b), h)
-        if width <= h + tol:
-            return "two_point", two_point(a, b)
-        if abs(width - 2.0 * h) <= tol:
-            rep = audits.audit_second_case(kernel, h)
-            if not rep.passed:
-                return None, (
-                    "the interior-weight potential audit failed, so the "
-                    "three-point template does not apply"
-                )
-            cstar = c_star(kernel, h)
-            if cstar <= 0.0:
-                return None, "the interior atom weight is not positive"
-            return "three_point", three_point(a, h, cstar)
-        return None, (
-            f"interval width {width!r} is neither <= lag {h!r} nor equal to "
-            f"twice the lag"
-        )
-    return None, "no closed-form template covers this kernel type"
+def _command_pairs(cfg, command):
+    label = cfg.kernel_kind
+    if cfg.kernel_params:
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(cfg.kernel_params.items()))
+        label = f"{label}({inner})"
+    return [("command", command), ("kernel", label)]
 
 
 def _interval_pairs(a, b):
@@ -125,18 +79,6 @@ def _measure_pairs(mu):
     ]
 
 
-def _optimality_pairs(report):
-    return [
-        ("energy", report.energy),
-        ("min_potential", report.min_potential),
-        ("argmin", report.argmin),
-        ("support_deviation", report.support_deviation),
-        ("global_slack", report.global_slack),
-        ("tolerance", report.tolerance),
-        ("verified", report.passed),
-    ]
-
-
 def _emit(pairs, out_dir, stem):
     print(render_pairs(pairs))
     if out_dir:
@@ -144,50 +86,62 @@ def _emit(pairs, out_dir, stem):
         write_report(os.path.join(out_dir, stem + ".txt"), pairs)
 
 
-def _write_potential(out_dir, kernel, mu, grid):
-    prof = potential(kernel, mu, grid)
-    write_csv(
-        os.path.join(out_dir, "potential.csv"),
-        ("t", "phi"),
-        (prof.grid.nodes, prof.values),
+def _certify(cfg, out_dir, command, mu, tol, head, tail):
+    """Equilibrium-check mu on the configured grid and report it.
+
+    The summary lists head after the kernel and tail after the interval;
+    potential.csv goes to out_dir.
+    """
+    kernel = cfg.kernel
+    a, b = cfg.interval()
+    grid = Grid(a, b, cfg.n)
+    report = check_optimality(kernel, mu, grid, tol=tol)
+    pairs = (
+        _command_pairs(cfg, command)
+        + head
+        + _interval_pairs(a, b)
+        + tail
+        + [("sigma_sq", report.energy), ("rate", _rate(report.energy))]
+        + _measure_pairs(mu)
+        + [
+            ("energy", report.energy),
+            ("min_potential", report.min_potential),
+            ("argmin", report.argmin),
+            ("support_deviation", report.support_deviation),
+            ("global_slack", report.global_slack),
+            ("tolerance", report.tolerance),
+            ("verified", report.passed),
+        ]
     )
+    _emit(pairs, out_dir, command)
+    if out_dir:
+        prof = potential(kernel, mu, grid)
+        write_csv(
+            os.path.join(out_dir, "potential.csv"),
+            ("t", "phi"),
+            (prof.grid.nodes, prof.values),
+        )
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_rate(cfg, out_dir, args):
-    kernel = cfg.kernel
     a, b = cfg.interval()
-    if kernel.pinned_origin and a <= 0.0:
+    if cfg.kernel.pinned_origin and a <= 0.0:
         raise ConfigError(
             "a pinned-origin kernel needs a > 0; the exceedance event is "
             "degenerate when the interval touches the origin"
         )
-    name, picked = _closed_form(kernel, cfg)
+    name, mu = audits.closed_form(cfg.kernel, a, b, cfg.audit_samples, cfg.audit_seed)
     if name is None:
-        print(f"no applicable closed form: {picked}", file=sys.stderr)
+        print(f"no applicable closed form: {mu}", file=sys.stderr)
         print("use 'gaussmin solve' for a numerical minimizer", file=sys.stderr)
         return EXIT_NO_CLOSED_FORM
-    mu = picked
-    grid = Grid(a, b, cfg.n)
-    report = check_optimality(kernel, mu, grid, tol=_VERIFY_GRID_TOL)
-    pairs = (
-        [
-            ("command", "rate"),
-            ("kernel", _kernel_label(cfg)),
-        ]
-        + _interval_pairs(a, b)
-        + [
-            ("closed_form", name),
-            ("sigma_sq", report.energy),
-            ("rate", _rate(report.energy)),
-        ]
-        + _measure_pairs(mu)
-        + _optimality_pairs(report)
+    code = _certify(
+        cfg, out_dir, "rate", mu, _VERIFY_GRID_TOL, [], [("closed_form", name)]
     )
-    _emit(pairs, out_dir, "rate")
     if out_dir:
         save_measure(mu, os.path.join(out_dir, "measure.csv"))
-        _write_potential(out_dir, kernel, mu, grid)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return code
 
 
 def cmd_solve(cfg, out_dir, args):
@@ -199,10 +153,7 @@ def cmd_solve(cfg, out_dir, args):
     mu = extract_measure(result, grid, prune=cfg.prune)
     sigma_sq = result.energy
     pairs = (
-        [
-            ("command", "solve"),
-            ("kernel", _kernel_label(cfg)),
-        ]
+        _command_pairs(cfg, "solve")
         + _interval_pairs(a, b)
         + [
             ("grid_n", cfg.n),
@@ -230,7 +181,6 @@ def cmd_solve(cfg, out_dir, args):
 def cmd_verify(cfg, out_dir, args):
     if not args.tol > 0.0:
         raise ConfigError(f"--tol must be positive, got {args.tol}")
-    kernel = cfg.kernel
     a, b = cfg.interval()
     mu = load_measure(args.measure)
     slack = 1e-12 * max(1.0, abs(a), abs(b))
@@ -238,56 +188,17 @@ def cmd_verify(cfg, out_dir, args):
         raise ConfigError(
             f"measure atoms fall outside the interval [{a}, {b}]"
         )
-    grid = Grid(a, b, cfg.n)
-    report = check_optimality(kernel, mu, grid, tol=args.tol)
-    pairs = (
-        [
-            ("command", "verify"),
-            ("kernel", _kernel_label(cfg)),
-            ("measure_file", args.measure),
-        ]
-        + _interval_pairs(a, b)
-        + [("sigma_sq", report.energy), ("rate", _rate(report.energy))]
-        + _measure_pairs(mu)
-        + _optimality_pairs(report)
-    )
-    _emit(pairs, out_dir, "verify")
-    if out_dir:
-        _write_potential(out_dir, kernel, mu, grid)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def _applicable_audits(kernel, cfg):
-    # nonneg increment correlation backs the left-endpoint form, so it is a
-    # hypothesis about pinned base processes, not about increment kernels
-    a, b = cfg.interval()
-    reports = []
-    if kernel.pinned_origin:
-        reports.append(
-            audits.audit_nonneg_increments(
-                kernel, a, b, samples=cfg.audit_samples, seed=cfg.audit_seed
-            )
-        )
-        reports.append(audits.audit_converse(kernel, a, b))
-    if isinstance(kernel, IncrementOf):
-        reports.append(
-            audits.audit_increment_monotone(
-                kernel, samples=cfg.audit_samples, seed=cfg.audit_seed
-            )
-        )
-        reports.append(audits.audit_first_case(kernel, b_samples=cfg.b_samples))
-        reports.append(audits.audit_second_case(kernel, kernel.h))
-    return reports
+    head = [("measure_file", args.measure)]
+    return _certify(cfg, out_dir, "verify", mu, args.tol, head, [])
 
 
 def cmd_assumptions(cfg, out_dir, args):
     kernel = cfg.kernel
     a, b = cfg.interval()
-    reports = _applicable_audits(kernel, cfg)
-    pairs = [
-        ("command", "assumptions"),
-        ("kernel", _kernel_label(cfg)),
-    ] + _interval_pairs(a, b)
+    reports = audits.applicable_audits(
+        kernel, a, b, cfg.audit_samples, cfg.audit_seed, cfg.b_samples
+    )
+    pairs = _command_pairs(cfg, "assumptions") + _interval_pairs(a, b)
     pairs.append(("applicable_audits", len(reports)))
     for rep in reports:
         pairs.extend(rep.rows())
@@ -305,17 +216,14 @@ def cmd_simulate(cfg, out_dir, args):
     sigma_sq = cfg.mc_sigma_sq
     if sigma_sq is None:
         try:
-            name, picked = _closed_form(kernel, cfg)
-        except (DegenerateKernelError, ValueError):
+            name, mu = audits.closed_form(kernel, a, b, cfg.audit_samples, cfg.audit_seed)
+        except DegenerateKernelError:
             name = None
         if name is not None:
-            sigma_sq = energy(kernel, picked)
+            sigma_sq = energy(kernel, mu)
     est = ldp_curve(kernel, (a, b), cfg.n, cfg.u_list, cfg.trials, seed=cfg.mc_seed)
     pairs = (
-        [
-            ("command", "simulate"),
-            ("kernel", _kernel_label(cfg)),
-        ]
+        _command_pairs(cfg, "simulate")
         + _interval_pairs(a, b)
         + [
             ("grid_n", cfg.n),
@@ -411,9 +319,7 @@ def cmd_figures(cfg, out_dir, args):
                 ylabel=label,
             )
             written.append(os.path.basename(svg))
-    pairs = [
-        ("command", "figures"),
-        ("kernel", _kernel_label(cfg)),
+    pairs = _command_pairs(cfg, "figures") + [
         ("lag", h),
         ("interior_weight", cstar),
         ("files", ";".join(written)),

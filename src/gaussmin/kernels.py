@@ -4,8 +4,8 @@ The catalogue is three classes and two constructors:
 
 * ``FractionalBM(H)``           fractional Brownian motion, Hurst index H in
   (0, 1): R(s, t) = (t^{2H} + s^{2H} - |t - s|^{2H}) / 2
-* ``IncrementOf(base, h)``      stationary lag-h increments of a base process
-  pinned at the origin with stationary increments, via the base variance
+* ``IncrementOf(base, h)``      stationary lag-h increments of a
+  ``FractionalBM`` base, via the base variance
 * ``Tabulated(nodes, matrix)``  kernels known only numerically on a grid
 * ``BrownianMotion()``          returns ``FractionalBM(0.5)``,
   R(s, t) = min(s, t)
@@ -111,9 +111,7 @@ class Kernel:
     """Base class. Subclasses provide cov(); stationary ones also gamma()."""
 
     stationary = False
-    # True when the process has stationary increments / is pinned to 0 at
-    # the origin; both are needed for the increment construction.
-    stationary_increments = False
+    # True when the process is pinned to 0 at the origin
     pinned_origin = False
 
     def cov(self, s, t):
@@ -140,8 +138,6 @@ class FractionalBM(Kernel):
 
     H: float
 
-    stationary = False
-    stationary_increments = True
     pinned_origin = True
 
     def __post_init__(self):
@@ -167,39 +163,37 @@ class FractionalBM(Kernel):
 
 @dataclass(frozen=True)
 class IncrementOf(Kernel):
-    """Stationary kernel of X(t) = Y(t + h) - Y(t) for a pinned base Y.
+    """Stationary kernel of X(t) = Y(t + h) - Y(t) for an fBm base Y.
 
-    The base must be pinned at the origin and have stationary increments
-    (FractionalBM qualifies); then with V the even extension of the base
+    The base must be a FractionalBM, which is pinned at the origin and has
+    stationary increments; then with V the even extension of the base
     variance,
 
         Gamma(tau) = (V(tau - h) - 2 V(tau) + V(tau + h)) / 2
                    = (f(tau) + f(-tau)) / 2,      f(t) = V(t + h) - V(t).
 
-    For an fBm base the derivatives of f are analytic,
+    The derivatives of f are analytic,
 
         f'(t)  = 2H (sgn(t+h) |t+h|^{2H-1} - sgn(t) |t|^{2H-1})
         f''(t) = 2H (2H-1) (|t+h|^{2H-2} - |t|^{2H-2}),
 
     singular at t in {0, -h}, where evaluation raises
-    :class:`SingularityError`; other bases fall back to central finite
-    differences.
+    :class:`SingularityError`.  Any other base raises
+    :class:`StationarityError`: there is no finite-difference fallback.
     """
 
     base: Kernel
     h: float
 
     stationary = True
-    stationary_increments = True
-    pinned_origin = False
 
     def __post_init__(self):
         if not self.h > 0.0:
             raise ValueError(f"lag must be positive, got {self.h}")
-        if not (self.base.stationary_increments and self.base.pinned_origin):
+        if not isinstance(self.base, FractionalBM):
             raise StationarityError(
-                "IncrementOf requires a base pinned at the origin with "
-                f"stationary increments; {type(self.base).__name__} is not"
+                "IncrementOf requires a FractionalBM base, pinned at the origin "
+                f"with stationary increments; {type(self.base).__name__} is not"
             )
 
     def _v(self, x):
@@ -225,27 +219,15 @@ class IncrementOf(Kernel):
         return _ret(out, scalar)
 
     def increment_d1(self, t):
-        return self._derivative(t, _power_d1, order=1)
+        return self._derivative(t, _power_d1)
 
     def increment_d2(self, t):
-        return self._derivative(t, _power_d2, order=2)
+        return self._derivative(t, _power_d2)
 
-    def _derivative(self, t, power, order):
+    def _derivative(self, t, power):
         t, scalar = _astuple(t)
-        if isinstance(self.base, FractionalBM):
-            _check_not_singular(t, self.h)
-            return _ret(power(t, self.h, self.base.H), scalar)
-        return _ret(self._fd(t, order), scalar)
-
-    def _fd(self, t, order):
-        # central differences; step grows with |t| to keep cancellation in check
-        step = np.maximum(1e-5, 1e-7 * np.abs(t))
-        up = self.increment(t + step)
-        dn = self.increment(t - step)
-        if order == 1:
-            return (up - dn) / (2.0 * step)
-        mid = self.increment(t)
-        return (up - 2.0 * mid + dn) / step**2
+        _check_not_singular(t, self.h)
+        return _ret(power(t, self.h, self.base.H), scalar)
 
 
 def BrownianMotion():
@@ -272,10 +254,6 @@ class Tabulated(Kernel):
     covariance.  A table whose shift by that floor has a Cholesky factor is
     accepted without computing eigenvalues.
     """
-
-    stationary = False
-    stationary_increments = False
-    pinned_origin = False
 
     def __init__(self, nodes, matrix):
         nodes = np.asarray(getattr(nodes, "nodes", nodes), dtype=float)

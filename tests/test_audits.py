@@ -10,11 +10,14 @@ from gaussmin import (
     FractionalBM,
     FractionalGaussianNoise,
     PinnedOriginError,
+    Tabulated,
+    applicable_audits,
     audit_converse,
     audit_first_case,
     audit_increment_monotone,
     audit_nonneg_increments,
     audit_second_case,
+    closed_form,
 )
 
 CSTAR = {
@@ -210,6 +213,51 @@ class TestSecondCase:
     def test_node_validation(self):
         with pytest.raises(ValueError, match="nodes"):
             audit_second_case(FractionalGaussianNoise(0.75, 1.0), 1.0, n=7)
+
+
+class TestClosedForm:
+    def test_left_endpoint(self):
+        name, mu = closed_form(BrownianMotion(), 1.0, 2.0)
+        assert name == "left_endpoint"
+        assert mu.locations.tolist() == [1.0] and mu.weights.tolist() == [1.0]
+
+    @pytest.mark.parametrize("b", [0.5, 1.0])
+    def test_two_point_up_to_the_lag(self, b):
+        name, mu = closed_form(FractionalGaussianNoise(0.6, 1.0), 0.0, b)
+        assert name == "two_point"
+        assert mu.locations.tolist() == [0.0, b] and mu.weights.tolist() == [0.5, 0.5]
+
+    def test_three_point_at_twice_the_lag(self):
+        name, mu = closed_form(FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0)
+        assert name == "three_point"
+        assert mu.locations.tolist() == [0.0, 1.0, 2.0]
+        c = CSTAR[0.75]
+        np.testing.assert_allclose(mu.weights, np.array([1.0, c, 1.0]) / (2.0 + c), rtol=1e-14)
+
+    @pytest.mark.parametrize("kernel, a, b, reason", [
+        (FractionalBM(0.3), 1.0, 2.0,
+         "increment correlations go negative on the interval, so the "
+         "left-endpoint measure is not guaranteed optimal"),
+        (FractionalGaussianNoise(0.75, 1.0), 0.0, 1.5,
+         "interval width 1.5 is neither <= lag 1.0 nor equal to twice the lag"),
+        (FractionalGaussianNoise(0.3, 1.0), 0.0, 2.0,
+         "the interior-weight potential audit failed, so the three-point "
+         "template does not apply"),
+        (Tabulated([0.0, 1.0], [[1.0, 0.5], [0.5, 1.0]]), 0.0, 1.0,
+         "no closed-form template covers this kernel type"),
+    ], ids=["rough_pinned", "odd_width", "rough_increment", "tabulated"])
+    def test_refusal_reasons(self, kernel, a, b, reason):
+        assert closed_form(kernel, a, b, samples=2000, seed=1) == (None, reason)
+
+    def test_applicable_audits_by_kernel_type(self):
+        def names(kernel):
+            return [r.name for r in applicable_audits(kernel, 1.0, 2.0, samples=500)]
+
+        assert names(BrownianMotion()) == ["nonneg_increments", "converse"]
+        assert names(FractionalGaussianNoise(0.75, 1.0)) == [
+            "increment_monotone", "first_case", "second_case"
+        ]
+        assert names(Tabulated([1.0, 2.0], [[1.0, 0.5], [0.5, 1.0]])) == []
 
 
 class TestConverse:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import parse_pairs
-from gaussmin import FractionalGaussianNoise, cli, config, energy, load_measure
+from gaussmin import FractionalGaussianNoise, audits, cli, config, energy, load_measure
 
 THREE_POINT_SIGMA_SQ = 0.5744706733790146
 THREE_POINT_RATE = -0.8703664489242229
@@ -421,6 +421,58 @@ class TestAssumptions:
         assert code == 2
         pairs = parse_pairs(out)
         assert float(pairs["worst_violation"]) < 0.0 or "False" in pairs["passed"]
+
+
+AUDIT_SETTINGS = "[audit]\nsamples = 500\nseed = 3\nb_samples = 5\n[grid]\nn = 21\n"
+FGN = "[kernel]\nkind = fgn\nH = 0.75\nh = 1.0\n[interval]\na = 0.0\n"
+NONNEG = ("nonneg_increments", (1.0, 2.0), {"samples": 500, "seed": 3})
+SECOND = ("second_case", (1.0,), {})
+LOOKUP_CASES = {
+    "left_endpoint": (BM_INTERVAL, [NONNEG]),
+    "two_point": (FGN + "b = 0.5\n", []),
+    "three_point": (FGN + "b = 2.0\n", [SECOND]),
+    "odd_width": (FGN + "b = 1.5\n", []),
+}
+
+
+class TestAuditCalls:
+    """Each command runs only the audits its decision rests on."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for name in ("nonneg_increments", "converse", "increment_monotone",
+                     "first_case", "second_case"):
+            audit = getattr(audits, "audit_" + name)
+
+            def record(kernel, *args, _name=name, _audit=audit, **kwargs):
+                seen.append((_name, args, kwargs))
+                return _audit(kernel, *args, **kwargs)
+
+            monkeypatch.setattr(audits, "audit_" + name, record)
+        return seen
+
+    @pytest.mark.parametrize("case", LOOKUP_CASES)
+    @pytest.mark.parametrize("command", ["rate", "simulate"])
+    def test_closed_form_lookup(self, command, case, calls, run_cli, write_ini):
+        body, expected = LOOKUP_CASES[case]
+        body += AUDIT_SETTINGS + "[mc]\nu_list = 1.0\ntrials = 10\n"
+        code, _, _ = run_cli(command, "--config", write_ini("c.ini", body))
+        assert code == (3 if command == "rate" and case == "odd_width" else 0)
+        assert calls == expected
+
+    def test_assumptions_pinned(self, calls, run_cli, write_ini):
+        run_cli("assumptions", "--config", write_ini("c.ini", BM_INTERVAL + AUDIT_SETTINGS))
+        assert calls == [NONNEG, ("converse", (1.0, 2.0), {})]
+
+    def test_assumptions_increment(self, calls, run_cli, write_ini):
+        body = FGN + "b = 2.0\n" + AUDIT_SETTINGS
+        run_cli("assumptions", "--config", write_ini("c.ini", body))
+        assert calls == [
+            ("increment_monotone", (), {"samples": 500, "seed": 3}),
+            ("first_case", (), {"b_samples": 5}),
+            SECOND,
+        ]
 
 
 class TestSimulate:

@@ -42,7 +42,7 @@ class TestBrownianMotion:
 
     def test_flags(self):
         k = BrownianMotion()
-        assert k.pinned_origin and k.stationary_increments and not k.stationary
+        assert k.pinned_origin and not k.stationary
         with pytest.raises(StationarityError):
             k.gamma(1.0)
 
@@ -159,27 +159,23 @@ class TestIncrementFunction:
             FractionalBM(0.7).increment_d1(1.0)
 
 
-class _QuarticBase(Kernel):
-    """Synthetic pinned base with variance t^4: exercises the finite
-    difference fallback, since it carries no power-law exponent hint."""
+class _PinnedBase(Kernel):
+    """Brownian covariance in a class that is not a FractionalBM: pinned,
+    with stationary increments, and saying so by attribute.  The increment
+    derivatives are analytic for an fBm base only, so IncrementOf refuses it."""
 
-    stationary = False
-    stationary_increments = True
     pinned_origin = True
-
-    def variance(self, t):
-        return np.asarray(t, dtype=float) ** 4
+    stationary_increments = True
 
     def cov(self, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return 0.5 * (self.variance(s) + self.variance(t) - np.abs(t - s) ** 4)
+        return np.minimum(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
 
 
 class TestIncrementOf:
     def test_requires_pinned_stationary_increment_base(self):
-        with pytest.raises(StationarityError):
-            IncrementOf(FractionalGaussianNoise(0.75, 1.0), 1.0)
+        for base in (FractionalGaussianNoise(0.75, 1.0), _PinnedBase()):
+            with pytest.raises(StationarityError):
+                IncrementOf(base, 1.0)
 
     def test_lag_validation(self):
         with pytest.raises(ValueError):
@@ -189,15 +185,6 @@ class TestIncrementOf:
         k = IncrementOf(BrownianMotion(), 1.0)
         tau = np.array([0.0, 0.5, 1.0, 2.0])
         assert np.allclose(k.gamma(tau), np.maximum(0.0, 1.0 - tau), atol=1e-15)
-
-    def test_finite_difference_fallback(self):
-        k = IncrementOf(_QuarticBase(), 1.0)
-        # f(t) = (t+1)^4 - t^4 on t > 0; f' = 4((t+1)^3 - t^3)
-        t = np.array([0.5, 1.5])
-        expected_d1 = 4.0 * ((t + 1.0) ** 3 - t**3)
-        expected_d2 = 12.0 * ((t + 1.0) ** 2 - t**2)
-        assert np.allclose(k.increment_d1(t), expected_d1, rtol=1e-6)
-        assert np.allclose(k.increment_d2(t), expected_d2, rtol=1e-4)
 
     def test_matches_four_term_covariance(self):
         base = FractionalBM(0.6)
