@@ -12,22 +12,14 @@ kernel = BrownianMotion()
 sigma_sq = energy(kernel, dirac(1.0))
 print(f"sigma*^2 = {sigma_sq}, limit = {rate(sigma_sq)}")
 
-est = ldp_curve(
-    kernel,
-    (1.0, 2.0),
-    200,
-    (1.0, 1.5, 2.0, 2.5),
-    200_000,
-    seed=7,
-    sigma_sq=sigma_sq,
-)
+est = ldp_curve(kernel, (1.0, 2.0), 200, (1.0, 1.5, 2.0, 2.5), 200_000, seed=7)
 
 print(f"\n{'u':>4} {'hits':>8} {'p_hat':>10} {'log p / u^2':>12} {'95% ci':>8}")
 for i in range(est.u.size):
     print(f"{est.u[i]:>4} {est.hits[i]:>8} {est.p_hat[i]:>10.6f} "
           f"{est.log_p_over_u2[i]:>12.4f} {est.ci_halfwidth[i]:>8.4f}")
 
-print(f"\ntheoretical limit: {est.theoretical_rate}")
+print(f"\ntheoretical limit: {rate(sigma_sq)}")
 
 # common random numbers across levels: the estimates share one sample
 # set, so p_hat is exactly nonincreasing in u, no luck involved

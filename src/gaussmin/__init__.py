@@ -26,125 +26,21 @@ as the ``gaussmin`` command.
 
 from . import _threads  # noqa: F401  thread caps must precede the numpy import
 
-from .energy import (
-    OptimalityReport,
-    PotentialProfile,
-    check_optimality,
-    energy,
-    potential,
-    rate,
-)
-from .errors import (
-    AssumptionError,
-    ConfigError,
-    DegenerateKernelError,
-    DomainError,
-    EmptyMeasureError,
-    FactorizationError,
-    GaussminError,
-    GridError,
-    IntervalError,
-    PinnedOriginError,
-    SingularityError,
-    StationarityError,
-)
-from .kernels import (
-    BrownianMotion,
-    FractionalBM,
-    FractionalGaussianNoise,
-    IncrementOf,
-    Kernel,
-    Tabulated,
-    decomposition_residual,
-)
-from .measures import (
-    DiscreteMeasure,
-    Grid,
-    c_star,
-    dirac,
-    load_measure,
-    save_measure,
-    three_point,
-    two_point,
-)
-from .audits import (
-    AssumptionReport,
-    audit_converse,
-    audit_first_case,
-    audit_increment_monotone,
-    audit_nonneg_increments,
-    audit_second_case,
-    applicable_audits,
-    closed_form,
-)
-from .solver import (
-    DiscretizedProblem,
-    SolverResult,
-    discretize,
-    extract_measure,
-    solve,
-)
-from .montecarlo import (
-    LdpEstimate,
-    factorize,
-    ldp_curve,
-)
-from .config import RunConfig, build_kernel, load_config
+import sys
+
+# each submodule's __all__ is its public API; the star import makes
+# gaussmin.energy the function, so the modules are read from sys.modules
+from .energy import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .measures import *  # noqa: F403
+from .audits import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .config import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionError",
-    "AssumptionReport",
-    "BrownianMotion",
-    "ConfigError",
-    "DegenerateKernelError",
-    "DiscreteMeasure",
-    "DiscretizedProblem",
-    "DomainError",
-    "EmptyMeasureError",
-    "FactorizationError",
-    "FractionalBM",
-    "FractionalGaussianNoise",
-    "GaussminError",
-    "Grid",
-    "GridError",
-    "IncrementOf",
-    "IntervalError",
-    "Kernel",
-    "LdpEstimate",
-    "OptimalityReport",
-    "PinnedOriginError",
-    "PotentialProfile",
-    "RunConfig",
-    "SingularityError",
-    "SolverResult",
-    "StationarityError",
-    "Tabulated",
-    "applicable_audits",
-    "audit_converse",
-    "audit_first_case",
-    "audit_increment_monotone",
-    "audit_nonneg_increments",
-    "audit_second_case",
-    "build_kernel",
-    "c_star",
-    "check_optimality",
-    "closed_form",
-    "decomposition_residual",
-    "dirac",
-    "discretize",
-    "energy",
-    "extract_measure",
-    "factorize",
-    "ldp_curve",
-    "load_config",
-    "load_measure",
-    "potential",
-    "rate",
-    "save_measure",
-    "solve",
-    "three_point",
-    "two_point",
-    "__version__",
-]
+_MODULES = ("energy", "errors", "kernels", "measures", "audits", "solver", "montecarlo", "config")
+__all__ = [name for m in _MODULES for name in sys.modules[f"{__name__}.{m}"].__all__]
+__all__.append("__version__")

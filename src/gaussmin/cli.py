@@ -15,7 +15,8 @@ summary plus CSV tables there.  Exit codes: 0 success, 2 a verification,
 convergence, or assumption check failed, 3 no closed form applies to the
 configured problem, 4 malformed input or a kernel the operation does not
 apply to, 5 numerical failure (a covariance that cannot be factorized, a
-degenerate kernel, or a solution pruned to nothing).  Code 2 still prints
+degenerate kernel, a solution pruned to nothing, or an array too large to
+allocate).  Code 2 still prints
 the full summary.  Code 3 (from rate) prints nothing on stdout, only the
 reason and a pointer to solve on stderr; 4 and 5 print a one-line message
 on stderr.
@@ -54,9 +55,9 @@ EXIT_NUMERICAL = 5
 
 _VERIFY_GRID_TOL = 1e-8
 
-# failures of the computation itself; every other GaussminError is an input
-# the operation does not accept
-_NUMERICAL_ERRORS = (DegenerateKernelError, EmptyMeasureError, FactorizationError)
+# failures of the computation itself, an array too large to allocate among
+# them; every other GaussminError is an input the operation does not accept
+_NUMERICAL_ERRORS = (DegenerateKernelError, EmptyMeasureError, FactorizationError, MemoryError)
 
 
 def _command_pairs(cfg, command):

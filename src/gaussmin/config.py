@@ -32,10 +32,14 @@ A run file looks like:
     dir = out
     formats = csv, svg
 
-Unknown sections or keys are rejected, every numeric field must be finite
-and is range checked at load, and any referenced file must exist.
-Commands requiring a section that is absent fail with ConfigError at
-dispatch.
+One table, _KEYS, names each section and key a run file may hold, with
+the RunConfig field it sets and the parser that converts and range checks
+it.  Other sections and keys are rejected, the table is walked in order
+(the first defect in that order is reported), and an omitted key keeps its
+RunConfig default.  [kernel] keys other than kind fill kernel_params, and
+_PARAMS names those each kernel kind takes.  Every numeric field must be
+finite and any referenced file must exist.  Commands requiring a section
+that is absent fail with ConfigError at dispatch.
 """
 
 from __future__ import annotations
@@ -48,25 +52,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import (
-    BrownianMotion,
-    FractionalBM,
-    FractionalGaussianNoise,
-    IncrementOf,
-    Tabulated,
-)
+from .kernels import FractionalBM, IncrementOf, Tabulated
 
-__all__ = ["RunConfig", "load_config"]
+__all__ = ["RunConfig", "build_kernel", "load_config"]
 
-_SCHEMA = {
-    "kernel": {"kind", "H", "h", "base", "path"},
-    "interval": {"a", "b"},
-    "grid": {"n"},
-    "solver": {"tol", "max_iter", "prune"},
-    "audit": {"samples", "seed", "b_samples"},
-    "mc": {"u_list", "trials", "seed", "sigma_sq"},
-    "output": {"dir", "formats"},
-}
 _KERNEL_KINDS = {
     "bm": "bm",
     "brownianmotion": "bm",
@@ -78,6 +67,10 @@ _KERNEL_KINDS = {
     "incrementof": "increment",
     "tabulated": "tabulated",
 }
+# the parameters each kernel kind takes, in the order a missing one is
+# reported; an increment kernel also takes those of its base, bm or fbm
+_PARAMS = {"bm": (), "fbm": ("H",), "fgn": ("H", "h"),
+           "increment": ("base", "h"), "tabulated": ("path",)}
 
 
 @dataclass(frozen=True)
@@ -90,20 +83,20 @@ class RunConfig:
 
     kernel_kind: str
     kernel_params: dict
-    a: float | None
-    b: float | None
-    n: int
-    tol: float
-    max_iter: int
-    prune: float
-    audit_samples: int
-    audit_seed: int
-    b_samples: int
-    u_list: tuple | None
-    trials: int | None
-    mc_seed: int
-    mc_sigma_sq: float | None
-    out_dir: str | None
+    a: float | None = None
+    b: float | None = None
+    n: int = 401
+    tol: float = 1e-9
+    max_iter: int = 200_000
+    prune: float = 1e-4
+    audit_samples: int = 10_000
+    audit_seed: int = 0
+    b_samples: int = 11
+    u_list: tuple | None = None
+    trials: int | None = None
+    mc_seed: int = 0
+    mc_sigma_sq: float | None = None
+    out_dir: str | None = None
     formats: tuple = ("csv",)
     base_dir: str = "."
     kernel: object = field(default=None, compare=False, repr=False)
@@ -114,22 +107,94 @@ class RunConfig:
         return self.a, self.b
 
 
-def _parse_float(section, key, raw):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key} must be finite, got {value}")
-    return value
+def _number(convert, requirement=None, ok=None):
+    """Parser of one numeric key: convert, require finite, then require ok(value)."""
+    noun = "a number" if convert is float else "an integer"
+
+    def parse(name, raw, base_dir):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise ConfigError(f"{name} = {raw!r} is not {noun}") from None
+        if convert is float and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        if ok is not None and not ok(value):
+            raise ConfigError(f"{name} must {requirement}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_int(section, key, raw):
+_REAL = _number(float)
+_COUNT = _number(int, "be positive", lambda v: v > 0)
+_SEED = _number(int, "be nonnegative", lambda v: v >= 0)
+
+
+def _kind(name, raw, base_dir):
+    kind = raw.strip().lower()
+    if kind not in _KERNEL_KINDS:
+        raise ConfigError(f"unknown kernel kind {kind!r}")
+    return _KERNEL_KINDS[kind]
+
+
+def _path(name, raw, base_dir):
+    # relative paths resolve against the run file's directory
+    return os.path.join(base_dir, raw.strip())
+
+
+def _levels(name, raw, base_dir):
     try:
-        value = int(raw)
+        levels = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
-    return value
+        raise ConfigError(f"{name} must be comma-separated numbers") from None
+    if not levels:
+        raise ConfigError(f"{name} must not be empty")
+    if not all(map(math.isfinite, levels)):
+        raise ConfigError(f"{name} must be finite")
+    if any(u <= 0 for u in levels) or any(y <= x for x, y in zip(levels, levels[1:])):
+        raise ConfigError(f"{name} must be positive and strictly increasing")
+    return levels
+
+
+def _formats(name, raw, base_dir):
+    formats = tuple(tok.strip().lower() for tok in raw.split(",") if tok.strip())
+    bad = set(formats) - {"csv", "svg"}
+    if bad:
+        raise ConfigError(f"[output] unknown formats: {sorted(bad)}")
+    return formats
+
+
+# section -> key -> (RunConfig field, parser), in check order; a parser takes
+# the name "[section] key", the raw text and the run file's directory.  A
+# field of None puts the value in kernel_params under the key's own name
+_KEYS = {
+    "kernel": {
+        "kind": ("kernel_kind", _kind),
+        "H": (None, _REAL),
+        "h": (None, _REAL),
+        "base": (None, lambda name, raw, base_dir: raw.strip().lower()),
+        "path": (None, _path),
+    },
+    "interval": {"a": ("a", _REAL), "b": ("b", _REAL)},
+    "grid": {"n": ("n", _number(int, "be at least 2", lambda v: v >= 2))},
+    "solver": {
+        "tol": ("tol", _number(float, "be positive", lambda v: v > 0.0)),
+        "max_iter": ("max_iter", _COUNT),
+        "prune": ("prune", _number(float, "lie in [0, 0.01]", lambda v: 0.0 <= v <= 0.01)),
+    },
+    "audit": {
+        "samples": ("audit_samples", _COUNT),
+        "seed": ("audit_seed", _SEED),
+        "b_samples": ("b_samples", _COUNT),
+    },
+    "mc": {
+        "sigma_sq": ("mc_sigma_sq", _number(float, "be positive", lambda v: v > 0.0)),
+        "u_list": ("u_list", _levels),
+        "trials": ("trials", _COUNT),
+        "seed": ("mc_seed", _SEED),
+    },
+    "output": {"dir": ("out_dir", _path), "formats": ("formats", _formats)},
+}
 
 
 def load_config(path):
@@ -144,199 +209,64 @@ def load_config(path):
     except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    given = {}  # section -> the keys the file sets in it
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        given[section] = parser.options(section)
+        for key in given[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}] of {path}")
+    if "kind" not in given.get("kernel", ()):
+        raise ConfigError(f"{path}: [kernel] section with 'kind' is required")
 
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    if not parser.has_section("kernel") or "kind" not in parser["kernel"]:
-        raise ConfigError(f"{path}: [kernel] section with 'kind' is required")
-    raw_kind = parser["kernel"]["kind"].strip().lower()
-    if raw_kind not in _KERNEL_KINDS:
-        raise ConfigError(f"unknown kernel kind {raw_kind!r}")
-    kind = _KERNEL_KINDS[raw_kind]
-
-    params = {}
-    ksec = parser["kernel"]
-    if "H" in ksec:
-        params["H"] = _parse_float("kernel", "H", ksec["H"])
-    if "h" in ksec:
-        params["h"] = _parse_float("kernel", "h", ksec["h"])
-    if "base" in ksec:
-        params["base"] = ksec["base"].strip().lower()
-    if "path" in ksec:
-        params["path"] = os.path.join(base_dir, ksec["path"].strip())
-
-    a = b = None
-    if parser.has_section("interval"):
-        isec = parser["interval"]
-        if "a" not in isec or "b" not in isec:
+    fields, params = {}, {}
+    for section, keys in _KEYS.items():
+        names = given.get(section)
+        if names is None:
+            continue
+        if section == "interval" and not ("a" in names and "b" in names):
             raise ConfigError(f"{path}: [interval] needs both a and b")
-        a = _parse_float("interval", "a", isec["a"])
-        b = _parse_float("interval", "b", isec["b"])
-        if not a < b:
-            raise ConfigError(f"[interval] needs a < b, got [{a}, {b}]")
-        if not math.isfinite(b - a):
-            raise ConfigError(f"[interval] width b - a overflows, got [{a}, {b}]")
+        for key, (name, parse) in keys.items():
+            if key in names:
+                value = parse(f"[{section}] {key}", parser.get(section, key), base_dir)
+                (fields if name else params)[name or key] = value
+        if section == "interval":
+            a, b = fields["a"], fields["b"]
+            if not a < b:
+                raise ConfigError(f"[interval] needs a < b, got [{a}, {b}]")
+            if not math.isfinite(b - a):
+                raise ConfigError(f"[interval] width b - a overflows, got [{a}, {b}]")
 
-    n = 401
-    if parser.has_section("grid") and "n" in parser["grid"]:
-        n = _parse_int("grid", "n", parser["grid"]["n"])
-        if n < 2:
-            raise ConfigError(f"[grid] n must be at least 2, got {n}")
-
-    tol, max_iter, prune = 1e-9, 200_000, 1e-4
-    if parser.has_section("solver"):
-        ssec = parser["solver"]
-        if "tol" in ssec:
-            tol = _parse_float("solver", "tol", ssec["tol"])
-            if tol <= 0.0:
-                raise ConfigError(f"[solver] tol must be positive, got {tol}")
-        if "max_iter" in ssec:
-            max_iter = _parse_int("solver", "max_iter", ssec["max_iter"])
-            if max_iter < 1:
-                raise ConfigError(f"[solver] max_iter must be positive, got {max_iter}")
-        if "prune" in ssec:
-            prune = _parse_float("solver", "prune", ssec["prune"])
-            if not 0.0 <= prune <= 0.01:
-                raise ConfigError(f"[solver] prune must lie in [0, 0.01], got {prune}")
-
-    audit_samples, audit_seed, b_samples = 10_000, 0, 11
-    if parser.has_section("audit"):
-        asec = parser["audit"]
-        if "samples" in asec:
-            audit_samples = _parse_int("audit", "samples", asec["samples"])
-            if audit_samples < 1:
-                raise ConfigError("[audit] samples must be positive")
-        if "seed" in asec:
-            audit_seed = _parse_int("audit", "seed", asec["seed"])
-            if audit_seed < 0:
-                raise ConfigError("[audit] seed must be nonnegative")
-        if "b_samples" in asec:
-            b_samples = _parse_int("audit", "b_samples", asec["b_samples"])
-            if b_samples < 1:
-                raise ConfigError("[audit] b_samples must be positive")
-
-    u_list, trials, mc_seed, mc_sigma_sq = None, None, 0, None
-    if parser.has_section("mc"):
-        msec = parser["mc"]
-        if "sigma_sq" in msec:
-            mc_sigma_sq = _parse_float("mc", "sigma_sq", msec["sigma_sq"])
-            if mc_sigma_sq <= 0.0:
-                raise ConfigError("[mc] sigma_sq must be positive")
-        if "u_list" in msec:
-            try:
-                u_list = tuple(float(tok) for tok in msec["u_list"].split(",") if tok.strip())
-            except ValueError:
-                raise ConfigError("[mc] u_list must be comma-separated numbers") from None
-            if not u_list:
-                raise ConfigError("[mc] u_list must not be empty")
-            if not all(map(math.isfinite, u_list)):
-                raise ConfigError("[mc] u_list must be finite")
-            if any(u <= 0 for u in u_list) or any(
-                y <= x for x, y in zip(u_list, u_list[1:])
-            ):
-                raise ConfigError("[mc] u_list must be positive and strictly increasing")
-        if "trials" in msec:
-            trials = _parse_int("mc", "trials", msec["trials"])
-            if trials < 1:
-                raise ConfigError("[mc] trials must be positive")
-        if "seed" in msec:
-            mc_seed = _parse_int("mc", "seed", msec["seed"])
-            if mc_seed < 0:
-                raise ConfigError("[mc] seed must be nonnegative")
-
-    out_dir, formats = None, ("csv",)
-    if parser.has_section("output"):
-        osec = parser["output"]
-        if "dir" in osec:
-            out_dir = os.path.join(base_dir, osec["dir"].strip())
-        if "formats" in osec:
-            formats = tuple(
-                tok.strip().lower() for tok in osec["formats"].split(",") if tok.strip()
-            )
-            bad = set(formats) - {"csv", "svg"}
-            if bad:
-                raise ConfigError(f"[output] unknown formats: {sorted(bad)}")
-
-    cfg = RunConfig(
-        kernel_kind=kind,
-        kernel_params=params,
-        a=a,
-        b=b,
-        n=n,
-        tol=tol,
-        max_iter=max_iter,
-        prune=prune,
-        audit_samples=audit_samples,
-        audit_seed=audit_seed,
-        b_samples=b_samples,
-        u_list=u_list,
-        trials=trials,
-        mc_seed=mc_seed,
-        mc_sigma_sq=mc_sigma_sq,
-        out_dir=out_dir,
-        formats=formats,
-        base_dir=base_dir,
-    )
+    cfg = RunConfig(kernel_params=params, base_dir=base_dir, **fields)
     # fail fast on bad kernel parameters or missing files, and keep the kernel
     return replace(cfg, kernel=build_kernel(cfg))
-
-
-def _require(params, kind, *names):
-    for name in names:
-        if name not in params:
-            raise ConfigError(f"kernel kind {kind!r} needs parameter {name!r}")
-
-
-def _reject_extras(params, kind, *allowed):
-    extras = set(params) - set(allowed)
-    if extras:
-        raise ConfigError(f"kernel kind {kind!r} does not take {sorted(extras)}")
 
 
 def build_kernel(cfg):
     """Instantiate the configured kernel; ConfigError on any parameter defect."""
     kind, params = cfg.kernel_kind, cfg.kernel_params
+    takes = _PARAMS[kind]
+    if kind == "increment" and {"base", "h"} <= params.keys():
+        if params["base"] not in ("bm", "fbm"):
+            raise ConfigError(f"increment base must be bm or fbm, got {params['base']!r}")
+        takes += _PARAMS[params["base"]]
+    missing = [name for name in takes if name not in params]
+    if missing:
+        raise ConfigError(f"kernel kind {kind!r} needs parameter {missing[0]!r}")
+    extras = set(params) - set(takes)
+    if extras:
+        raise ConfigError(f"kernel kind {kind!r} does not take {sorted(extras)}")
     try:
-        if kind == "bm":
-            _reject_extras(params, kind)
-            return BrownianMotion()
-        if kind == "fbm":
-            _require(params, kind, "H")
-            _reject_extras(params, kind, "H")
-            return FractionalBM(params["H"])
-        if kind == "fgn":
-            _require(params, kind, "H", "h")
-            _reject_extras(params, kind, "H", "h")
-            return FractionalGaussianNoise(params["H"], params["h"])
-        if kind == "increment":
-            _require(params, kind, "base", "h")
-            base_name = params["base"]
-            if base_name == "bm":
-                _reject_extras(params, kind, "base", "h")
-                base = BrownianMotion()
-            elif base_name == "fbm":
-                _require(params, kind, "H")
-                _reject_extras(params, kind, "base", "h", "H")
-                base = FractionalBM(params["H"])
-            else:
-                raise ConfigError(
-                    f"increment base must be bm or fbm, got {base_name!r}"
-                )
-            return IncrementOf(base, params["h"])
-        # tabulated
-        _require(params, kind, "path")
-        _reject_extras(params, kind, "path")
-        if cfg.a is None:
-            raise ConfigError("tabulated kernels need an [interval] section")
-        nodes = np.linspace(cfg.a, cfg.b, cfg.n)
-        matrix = load_tabulated_matrix(params["path"], cfg.n)
-        return Tabulated(nodes, matrix)
+        if kind == "tabulated":
+            if cfg.a is None:
+                raise ConfigError("tabulated kernels need an [interval] section")
+            nodes = np.linspace(cfg.a, cfg.b, cfg.n)
+            return Tabulated(nodes, load_tabulated_matrix(params["path"], cfg.n))
+        # bm is fBm with H = 1/2; fgn and increment are lag-h increments of fBm
+        base = FractionalBM(params.get("H", 0.5))
+        return IncrementOf(base, params["h"]) if "h" in params else base
     except ValueError as exc:
         raise ConfigError(f"invalid kernel parameters: {exc}") from exc
 

@@ -5,6 +5,21 @@ the package's failures with a single except clause while still being able
 to distinguish the precise contract that was violated.
 """
 
+__all__ = [
+    "GaussminError",
+    "DomainError",
+    "StationarityError",
+    "SingularityError",
+    "GridError",
+    "IntervalError",
+    "AssumptionError",
+    "DegenerateKernelError",
+    "EmptyMeasureError",
+    "PinnedOriginError",
+    "FactorizationError",
+    "ConfigError",
+]
+
 
 class GaussminError(Exception):
     """Base class for all gaussmin errors."""

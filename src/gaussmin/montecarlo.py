@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _threads
-from .energy import _rate
 from .errors import FactorizationError
 from .measures import Grid
 from .solver import discretize
@@ -188,15 +187,13 @@ class LdpEstimate:
     ci_halfwidth: np.ndarray
     flagged: np.ndarray
     jitter: float
-    theoretical_rate: float | None = None
 
 
-def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
+def ldp_curve(kernel, interval, n, u_list, trials, seed=0):
     """Normalized log tail probabilities along increasing levels.
 
     All levels share one simulated sample set (common random numbers), so
-    p_hat is exactly nonincreasing in u.  Pass sigma_sq >= 0 to attach the
-    theoretical limit -1 / (2 sigma_sq) for reporting (-inf for zero).
+    p_hat is exactly nonincreasing in u.
     """
     u = np.asarray(list(u_list), dtype=float)
     if u.size == 0:
@@ -207,8 +204,6 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
         raise ValueError("levels must be positive")
     if np.any(np.diff(u) <= 0.0):
         raise ValueError("levels must be strictly increasing")
-    if sigma_sq is not None and not sigma_sq >= 0.0:
-        raise ValueError(f"sigma_sq must be nonnegative, got {sigma_sq}")
     hits, jitter = _hits(kernel, interval, n, u, trials, seed)
     p_hat = hits / trials
     flagged = hits == 0
@@ -230,5 +225,4 @@ def ldp_curve(kernel, interval, n, u_list, trials, seed=0, sigma_sq=None):
         ci_halfwidth=ci,
         flagged=flagged,
         jitter=jitter,
-        theoretical_rate=None if sigma_sq is None else _rate(sigma_sq),
     )

@@ -252,6 +252,24 @@ class TestExtremeValues:
         assert err.startswith("numerical failure: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(("command", "section"), [
+        ("rate", "[grid]\nn = 1000000000000000\n"),
+        ("solve", "[grid]\nn = 1000000000000000\n"),
+        ("simulate", "[grid]\nn = 1000000000000000\n"),
+        ("assumptions", "[audit]\nsamples = 1000000000000000\n"),
+    ], ids=["rate", "solve", "simulate", "assumptions"])
+    def test_array_too_large_to_allocate_exits_five(self, run_cli, write_ini, command, section):
+        # 1e15 doubles (7.1 PiB) exceed any address space, so numpy refuses
+        # the array before it allocates anything
+        body = (
+            "[kernel]\nkind = fgn\nH = 0.75\nh = 1.0\n[interval]\na = 0.0\nb = 2.0\n"
+            + section + "[mc]\nu_list = 1.0\ntrials = 10\n"
+        )
+        code, out, err = run_cli(command, "--config", write_ini("m.ini", body))
+        assert (code, out) == (5, "")
+        assert err.startswith("numerical failure: Unable to allocate")
+        assert err.count("\n") == 1
+
     def test_overflowing_audit_range_exits_five(self, run_cli, write_ini):
         # the lag is finite, but the +-4h sampling range of the audit is not
         body = "[kernel]\nkind = increment\nbase = bm\nh = 1e308\n[interval]\na = 0.0\nb = 1.0\n"

@@ -1,8 +1,11 @@
 """Run-file parsing: schema enforcement, defaults, kernel construction."""
 
+import configparser
 import csv
 import dataclasses
+import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -55,6 +58,35 @@ sigma_sq = 0.6
 dir = results
 formats = csv, svg
 """
+
+
+def _readme_run_file():
+    """The ini block under README's "A full run file", parsed."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as handle:
+        readme = handle.read()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.optionxform = str
+    parser.read_string(re.search(r"A full run file:\n\n```ini\n(.*?)```", readme, re.S).group(1))
+    return parser
+
+
+def _text(parser):
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+def _readme_numeric_keys():
+    keys = []
+    for section, body in _readme_run_file().items():
+        for key, value in body.items():
+            try:
+                float(value)
+            except ValueError:
+                continue  # kind, u_list, dir, formats
+            keys.append((section, key, value.isdigit()))
+    return keys
 
 
 def _write_matrix_csv(path, matrix):
@@ -195,6 +227,49 @@ class TestRangeErrors:
     def test_rejected(self, write_ini, body, msg):
         with pytest.raises(ConfigError, match=msg):
             load_config(write_ini("r.ini", self.BASE + body))
+
+
+class TestReadmeRunFile:
+    @pytest.mark.parametrize(("section", "key", "integer"), _readme_numeric_keys())
+    def test_every_numeric_key_is_checked(self, write_ini, section, key, integer):
+        def load(value):
+            parser = _readme_run_file()
+            parser[section][key] = str(value)
+            return load_config(write_ini("readme.ini", _text(parser)))
+
+        noun = "an integer" if integer else "a number"
+        with pytest.raises(ConfigError) as info:
+            load("x")
+        assert str(info.value) == f"[{section}] {key} = 'x' is not {noun}"
+        # every integer key is a count or a seed; inf is out of range for any float
+        with pytest.raises(ConfigError) as info:
+            load(-1 if integer else "inf")
+        assert str(info.value).startswith(f"[{section}] {key} must")
+
+    def test_shown_values_are_the_defaults(self, write_ini):
+        shown = load_config(write_ini("readme.ini", _text(_readme_run_file())))
+        default = load_config(write_ini("min.ini", "[kernel]\nkind = fgn\nH = 0.75\nh = 1.0\n"))
+        for name in ("n", "tol", "max_iter", "prune", "audit_samples", "audit_seed", "b_samples"):
+            assert getattr(shown, name) == getattr(default, name), name
+        assert shown.mc_seed == default.mc_seed
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize(("body", "msg"), [
+        ("[kernel]\nkind = ou\n[grid]\nn = 0\n", "unknown kernel kind 'ou'"),
+        (
+            "[kernel]\nkind = bm\n[interval]\na = 2.0\nb = 1.0\n[grid]\nn = 0\n",
+            r"[interval] needs a < b, got [2.0, 1.0]",
+        ),
+        (
+            "[kernel]\nkind = increment\nbase = fgn\nh = 1.0\nH = 0.75\n",
+            "increment base must be bm or fbm, got 'fgn'",
+        ),
+    ], ids=["kind_before_grid", "interval_before_grid", "base_before_extras"])
+    def test_two_defects_report_the_first(self, write_ini, body, msg):
+        with pytest.raises(ConfigError) as info:
+            load_config(write_ini("p.ini", body))
+        assert str(info.value) == msg
 
 
 class TestKernelConstruction:

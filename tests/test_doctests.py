@@ -39,3 +39,28 @@ def test_modules_import_without_scipy():
         timeout=120,
     )
     assert res.stdout.strip() == "False"
+
+
+PUBLIC = {
+    "AssumptionError", "AssumptionReport", "BrownianMotion", "ConfigError",
+    "DegenerateKernelError", "DiscreteMeasure", "DiscretizedProblem", "DomainError",
+    "EmptyMeasureError", "FactorizationError", "FractionalBM", "FractionalGaussianNoise",
+    "GaussminError", "Grid", "GridError", "IncrementOf", "IntervalError", "Kernel",
+    "LdpEstimate", "OptimalityReport", "PinnedOriginError", "PotentialProfile", "RunConfig",
+    "SingularityError", "SolverResult", "StationarityError", "Tabulated", "__version__",
+    "applicable_audits", "audit_converse", "audit_first_case", "audit_increment_monotone",
+    "audit_nonneg_increments", "audit_second_case", "build_kernel", "c_star",
+    "check_optimality", "closed_form", "decomposition_residual", "dirac", "discretize",
+    "energy", "extract_measure", "factorize", "ldp_curve", "load_config", "load_measure",
+    "potential", "rate", "save_measure", "solve", "three_point", "two_point",
+}
+
+
+def test_public_names():
+    assert len(gaussmin.__all__) == len(PUBLIC) == 53
+    assert set(gaussmin.__all__) == PUBLIC
+    namespace = {}
+    exec("from gaussmin import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+    # the function, not the module, as the package has always exported it
+    assert callable(gaussmin.energy)

@@ -267,20 +267,6 @@ class TestLdpCurve:
         )
         assert np.all(np.isinf(est.ci_halfwidth))
 
-    def test_theoretical_rate_attachment(self):
-        est = ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, seed=0)
-        assert est.theoretical_rate is None
-        est = ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, seed=0, sigma_sq=1.0)
-        assert est.theoretical_rate == -0.5
-        # zero energy: the process can vanish, so P(min > u) = 0 for u > 0
-        est = ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, seed=0, sigma_sq=0.0)
-        assert est.theoretical_rate == -np.inf
-
-    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
-    def test_negative_or_nan_energy_rejected(self, bad):
-        with pytest.raises(ValueError, match="sigma_sq"):
-            ldp_curve(BrownianMotion(), (1.0, 2.0), 20, [1.0], 100, sigma_sq=bad)
-
     def test_jitter_is_reported(self):
         # a 1e-6 window of fgn H = 0.9 is nearly constant: the Cholesky
         # factor needs a diagonal shift, which the estimate carries
