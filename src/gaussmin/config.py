@@ -53,6 +53,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import FractionalBM, IncrementOf, Tabulated
+from .measures import Grid
 
 __all__ = ["RunConfig", "build_kernel", "load_config"]
 
@@ -230,7 +231,11 @@ def load_config(path):
             raise ConfigError(f"{path}: [interval] needs both a and b")
         for key, (name, parse) in keys.items():
             if key in names:
-                value = parse(f"[{section}] {key}", parser.get(section, key), base_dir)
+                try:
+                    raw = parser.get(section, key)
+                except configparser.Error as exc:  # a bad %-interpolation
+                    raise ConfigError(f"cannot read [{section}] {key} of {path}: {exc}") from exc
+                value = parse(f"[{section}] {key}", raw, base_dir)
                 (fields if name else params)[name or key] = value
         if section == "interval":
             a, b = fields["a"], fields["b"]
@@ -262,7 +267,7 @@ def build_kernel(cfg):
         if kind == "tabulated":
             if cfg.a is None:
                 raise ConfigError("tabulated kernels need an [interval] section")
-            nodes = np.linspace(cfg.a, cfg.b, cfg.n)
+            nodes = Grid(cfg.a, cfg.b, cfg.n).nodes
             return Tabulated(nodes, load_tabulated_matrix(params["path"], cfg.n))
         # bm is fBm with H = 1/2; fgn and increment are lag-h increments of fBm
         base = FractionalBM(params.get("H", 0.5))

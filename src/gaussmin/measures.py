@@ -67,7 +67,12 @@ class Grid:
 
     @cached_property
     def nodes(self):
-        nodes = np.linspace(self.a, self.b, self.n)
+        try:
+            nodes = np.linspace(self.a, self.b, self.n)
+        except ValueError as exc:
+            # past numpy's maximum array size; smaller sizes numpy cannot
+            # allocate already raise MemoryError
+            raise MemoryError(f"cannot allocate a grid of {self.n} nodes: {exc}") from exc
         nodes.flags.writeable = False
         return nodes
 

@@ -27,7 +27,9 @@ worker count, and reruns with the same seed are bit-for-bit identical.
 That is what lets a pool of GAUSSMIN_THREADS workers (see _threads) each
 take a whole trial block, numpy releasing the interpreter lock in the
 ziggurat loop and the product, while the calling thread sums their hit
-counts.
+counts.  Nor does it depend on GAUSSMIN_THREADS as a BLAS cap: the
+Cholesky factor and the products run with numpy's bundled OpenBLAS on one
+thread whatever the cap (another BLAS keeps its own thread count).
 """
 
 from __future__ import annotations
@@ -132,13 +134,16 @@ def _block_minima(seed, k, trials, factor, floor):
     return minima
 
 
+@_threads.one_blas_thread()
 def _hits(kernel, interval, n, u, trials, seed):
     """Counts of paths whose grid minimum exceeds each increasing level u.
 
     Worker threads take whole trial blocks (draws, product and counts), and
     only hit vectors come back; at most workers + 1 blocks are submitted
-    and not yet taken.  Returns (hits, jitter), jitter being the Cholesky
-    factor's diagonal shift.
+    and not yet taken.  The Cholesky factor and every product run with
+    OpenBLAS on one thread (see _threads.one_blas_thread), so the factor's
+    rounding does not depend on the thread cap.  Returns (hits, jitter),
+    jitter being the Cholesky factor's diagonal shift.
     """
     from concurrent.futures import ThreadPoolExecutor
 

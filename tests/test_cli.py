@@ -270,6 +270,35 @@ class TestExtremeValues:
         assert err.startswith("numerical failure: Unable to allocate")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", [10**19, 10**30])
+    @pytest.mark.parametrize(("command", "kernel"), [
+        ("rate", "kind = fgn\nH = 0.75\nh = 1.0\n"),
+        ("solve", "kind = fgn\nH = 0.75\nh = 1.0\n"),
+        ("simulate", "kind = fgn\nH = 0.75\nh = 1.0\n"),
+        ("rate", "kind = tabulated\npath = t.csv\n"),
+    ], ids=["rate", "solve", "simulate", "tabulated"])
+    def test_grid_past_numpy_maximum_size_exits_five(
+        self, run_cli, write_ini, command, kernel, n
+    ):
+        # past numpy's maximum array size np.linspace raises ValueError,
+        # not MemoryError
+        write_ini("t.csv", "i,j,value\n")
+        body = (
+            f"[kernel]\n{kernel}[interval]\na = 0.0\nb = 2.0\n[grid]\nn = {n}\n"
+            "[mc]\nu_list = 1.0\ntrials = 10\n"
+        )
+        code, out, err = run_cli(command, "--config", write_ini("g.ini", body))
+        assert (code, out) == (5, "")
+        assert err.startswith(f"numerical failure: cannot allocate a grid of {n} nodes")
+        assert err.count("\n") == 1
+
+    def test_bad_interpolation_exits_four(self, run_cli, write_ini):
+        body = "[kernel]\nkind = fbm\nH = 0.5%\n[interval]\na = 1.0\nb = 2.0\n"
+        code, out, err = run_cli("rate", "--config", write_ini("p.ini", body))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: cannot read [kernel] H of ")
+        assert err.count("\n") == 1
+
     def test_overflowing_audit_range_exits_five(self, run_cli, write_ini):
         # the lag is finite, but the +-4h sampling range of the audit is not
         body = "[kernel]\nkind = increment\nbase = bm\nh = 1e308\n[interval]\na = 0.0\nb = 1.0\n"

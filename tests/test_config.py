@@ -188,6 +188,18 @@ class TestSchemaErrors:
         with pytest.raises(ConfigError, match="unknown kernel kind"):
             load_config(write_ini("u.ini", "[kernel]\nkind = ou\n"))
 
+    @pytest.mark.parametrize("value", ["0.5%", "%(x)s", "%(H)s"],
+                             ids=["syntax", "missing", "depth"])
+    def test_bad_interpolation_rejected(self, write_ini, value):
+        # configparser's %-interpolation fails on the value read, not the parse
+        body = f"[kernel]\nkind = fbm\nH = {value}\n"
+        with pytest.raises(ConfigError, match=r"cannot read \[kernel\] H of "):
+            load_config(write_ini("p.ini", body))
+
+    def test_interpolation_references_still_resolve(self, write_ini):
+        body = "[kernel]\nkind = bm\n[interval]\na = 1.0\nb = %(a)s5\n"
+        assert load_config(write_ini("r.ini", body)).interval() == (1.0, 1.05)
+
 
 class TestRangeErrors:
     BASE = "[kernel]\nkind = bm\n"

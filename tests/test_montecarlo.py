@@ -515,6 +515,127 @@ class TestDrawPool:
         assert set(pool_log["started"]) <= set(range(4))
 
 
+_FACTOR_SCRIPT = """
+import sys
+from gaussmin import FractionalBM, ldp_curve, montecarlo
+
+factors = []
+real = montecarlo.factorize
+
+
+def record(problem, jitter=0.0):
+    factor, used = real(problem, jitter)
+    factors.append(factor)
+    return factor, used
+
+
+montecarlo.factorize = record
+ldp_curve(FractionalBM(0.75), (1.0, 2.0), 200, [1.0], 1000, seed=0)
+sys.stdout.buffer.write(factors[0].tobytes())
+"""
+
+
+class TestBlasThreads:
+    """Hit counting runs with numpy's bundled OpenBLAS on one thread."""
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        # 1000 trials per block at n = 50, so a curve takes 20 blocks
+        monkeypatch.setattr(montecarlo, "_BATCH_DOUBLES", 50_000)
+
+    @pytest.fixture
+    def blas(self):
+        # (get, set) of the OpenBLAS thread count, set above one thread for
+        # the test where the library allows it, and reset afterwards
+        calls = _threads._openblas()
+        if calls is None:
+            pytest.skip("numpy is not linked against its bundled OpenBLAS")
+        get, set_ = calls
+        previous = get()
+        set_(2)
+        yield get
+        set_(previous)
+
+    def _curve(self):
+        return ldp_curve(BrownianMotion(), (1.0, 2.0), 50, [0.5, 1.0], 20_000, seed=3)
+
+    def test_factor_does_not_depend_on_the_thread_cap(self):
+        # a Cholesky factor computed by two OpenBLAS threads differs from a
+        # one-thread factor at rounding level, so each cap is a fresh
+        # interpreter whose BLAS variables come from the cap alone
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        factors = [
+            subprocess.run(
+                [sys.executable, "-c", _FACTOR_SCRIPT],
+                env={**env, "PYTHONPATH": src, "GAUSSMIN_THREADS": cap},
+                capture_output=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for cap in ("1", "2")
+        ]
+        assert len(factors[0]) == 200 * 200 * 8
+        assert factors[0] == factors[1]
+
+    def test_one_thread_inside_and_the_count_restored_after(self, blas, monkeypatch):
+        expected = blas()
+        seen = []
+        real_factorize, real_minima = montecarlo.factorize, montecarlo._block_minima
+
+        def factorize_logged(problem, jitter=0.0):
+            seen.append(blas())
+            return real_factorize(problem, jitter)
+
+        def minima_logged(*args):
+            seen.append(blas())
+            return real_minima(*args)
+
+        monkeypatch.setattr(montecarlo, "factorize", factorize_logged)
+        monkeypatch.setattr(montecarlo, "_block_minima", minima_logged)
+        self._curve()
+        assert len(seen) > 2 and set(seen) == {1}
+        assert blas() == expected
+
+    def test_count_restored_when_a_worker_raises(self, blas, monkeypatch):
+        expected = blas()
+        real = montecarlo._block_minima
+
+        def failing(seed, k, trials, factor, floor):
+            if k == 1:
+                raise RuntimeError("draw failed")
+            return real(seed, k, trials, factor, floor)
+
+        monkeypatch.setattr(montecarlo, "_block_minima", failing)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            self._curve()
+        assert blas() == expected
+
+    def test_overlapping_callers_restore_once(self, blas):
+        expected = blas()
+        with _threads.one_blas_thread():
+            with _threads.one_blas_thread():
+                assert blas() == 1
+            assert blas() == 1  # the outer caller is still inside
+        assert blas() == expected
+
+    def test_missing_symbols_give_the_same_hits(self, monkeypatch):
+        # under another BLAS the symbols do not resolve and nothing is set
+        import ctypes
+
+        expected = self._curve().hits
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        _threads._openblas.cache_clear()
+        try:
+            assert _threads._openblas() is None
+            np.testing.assert_array_equal(self._curve().hits, expected)
+        finally:
+            _threads._openblas.cache_clear()
+
+
 class TestMeasuredLevels:
     """Normalized log tails at moderate levels, frozen from pilot runs.
 
