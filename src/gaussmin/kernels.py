@@ -249,7 +249,8 @@ class Tabulated(Kernel):
 
     Queries must hit a node (within 1e-12 of the node span); anything else
     raises :class:`GridError`.  The matrix must be symmetric within 1e-12,
-    and positive semidefinite: an eigenvalue below -1e-12 * max(1, max|M|)
+    and is stored as 0.5 * (M + M.T), so cov is exactly symmetric; it must
+    also be positive semidefinite: an eigenvalue below -1e-12 * max(1, max|M|)
     raises :class:`FactorizationError`, since no Gaussian process has that
     covariance.  A table whose shift by that floor has a Cholesky factor is
     accepted without computing eigenvalues.
@@ -270,6 +271,12 @@ class Tabulated(Kernel):
             raise ValueError("tabulated matrix contains non-finite entries")
         if np.max(np.abs(matrix - matrix.T), initial=0.0) > 1e-12:
             raise ValueError("tabulated matrix is not symmetric within 1e-12")
+        if (matrix != matrix.T).any():
+            # stored averaged, so cov(s, t) == cov(t, s) exactly and a
+            # mirrored tile of discretize holds the average; an exactly
+            # symmetric table is kept as given, huge entries included
+            with np.errstate(over="ignore"):
+                matrix = 0.5 * (matrix + matrix.T)
         floor = 1e-12 * max(1.0, float(np.max(np.abs(matrix))))
         # a Cholesky factor of M + floor * I accepts the table at a fraction
         # of the cost of its eigenvalues, which only a failure needs

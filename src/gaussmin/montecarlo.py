@@ -118,19 +118,23 @@ def _block_minima(seed, k, trials, factor, floor):
     """
     n = factor.shape[0]
     rows = _block_rows(n)
-    # column-major, so the pages of normals never drawn are never touched
-    z = np.empty((min(rows, trials - k * rows), n), order="F")
-    minima = np.full(z.shape[0], np.inf)
-    alive = np.arange(z.shape[0])
+    # trial i's normals are column i, so a path's coordinates of a block
+    # are a column of the product and its minimum a reduction down columns;
+    # the pages of normals never drawn are never touched
+    zt = np.empty((n, min(rows, trials - k * rows)))
+    minima = np.empty(zt.shape[1])
+    alive = np.arange(zt.shape[1])
+    low = np.full(alive.size, np.inf)
     for c, (c0, c1) in enumerate(_column_blocks(n)):
         m = alive.size
-        z[:m, c0:c1] = _normals(seed, k, c, m, c1 - c0)
-        low = np.minimum(minima[alive], (z[:m, :c1] @ factor[c0:c1, :c1].T).min(axis=1))
-        minima[alive] = low
+        zt[c0:c1, :m] = _normals(seed, k, c, m, c1 - c0).T
+        low = np.minimum(low, (factor[c0:c1, :c1] @ zt[:c1, :m]).min(axis=0))
         keep = low > floor
         if not keep.all():
-            alive = alive[keep]
-            z[: alive.size, :c1] = z[:m, :c1][keep]
+            minima[alive[~keep]] = low[~keep]
+            alive, low = alive[keep], low[keep]
+            zt[:c1, : alive.size] = zt[:c1, :m][:, keep]
+    minima[alive] = low
     return minima
 
 

@@ -41,6 +41,10 @@ from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
 
+# side of the square tiles a non-stationary covariance matrix is built from:
+# a few tiles' temporaries stay far below the n x n matrix itself
+_TILE = 256
+
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedProblem:
@@ -54,10 +58,14 @@ def discretize(kernel, grid):
     """Covariance matrix of the kernel on the grid nodes, exactly symmetric.
 
     Stationary kernels take the n values Gamma(t - t[0]) on the uniform grid
-    and expand them to the symmetric Toeplitz matrix; other kernels are
-    evaluated on grid x grid and symmetrized at rounding level.  A matrix
-    with non-finite entries (the kernel overflows at the grid's scale)
-    raises DegenerateKernelError.
+    and expand them to the symmetric Toeplitz matrix.  Other kernels fill
+    one n x n matrix from square tiles of _TILE x _TILE nodes on or above
+    the diagonal: each tile is written in place and mirrored below the
+    diagonal, and a diagonal tile is first averaged with its transpose, so
+    the matrix is exactly symmetric and no other n x n array is made.  For
+    a kernel with cov(s, t) == cov(t, s), every entry equals the average
+    0.5 * (cov(s, t) + cov(t, s)).  A matrix with non-finite entries (the
+    kernel overflows at the grid's scale) raises DegenerateKernelError.
     """
     t = grid.nodes
     overflow = f"covariance overflows on the grid over [{t[0]}, {t[-1]}]"
@@ -71,11 +79,22 @@ def discretize(kernel, grid):
         matrix = np.ascontiguousarray(sliding_window_view(both, t.size)[::-1])
     else:
 
-        def symmetrized():
-            matrix = np.asarray(kernel.cov(t[:, None], t[None, :]), dtype=float)
-            return 0.5 * (matrix + matrix.T)
+        def tiled():
+            matrix = np.empty((t.size, t.size))
+            for r0 in range(0, t.size, _TILE):
+                rows = slice(r0, r0 + _TILE)
+                for c0 in range(r0, t.size, _TILE):
+                    cols = slice(c0, c0 + _TILE)
+                    tile = np.asarray(kernel.cov(t[rows, None], t[None, cols]), dtype=float)
+                    if c0 == r0:
+                        # variances bound the other entries, so when any is
+                        # past half the float range this average overflows
+                        tile = 0.5 * (tile + tile.T)
+                    matrix[rows, cols] = tile
+                    matrix[cols, rows] = tile.T
+            return matrix
 
-        matrix = finite_values(symmetrized, overflow)
+        matrix = finite_values(tiled, overflow)
     matrix.flags.writeable = False
     return DiscretizedProblem(grid=grid, matrix=matrix)
 

@@ -1,5 +1,7 @@
 """Active-set solver: discretization, convergence, certificates, extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaussmin import (
     BrownianMotion,
+    DegenerateKernelError,
     DiscreteMeasure,
     DiscretizedProblem,
     EmptyMeasureError,
@@ -15,6 +18,7 @@ from gaussmin import (
     Grid,
     IncrementOf,
     SolverResult,
+    Tabulated,
     c_star,
     discretize,
     energy,
@@ -73,6 +77,59 @@ class TestDiscretize:
         np.testing.assert_allclose(
             matrix, kernel.cov(t[:, None], t[None, :]), rtol=0.0, atol=1e-14
         )
+
+
+class TestTiledDiscretize:
+    @pytest.mark.parametrize("n", [2, 255, 256, 257, 513, 1601])
+    @pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.75, 0.95])
+    def test_equals_averaged_full_matrix(self, H, n):
+        # n around the tile side, 256: one tile, a tile and a one-node
+        # strip, and (at 1601) a ragged last row and column of tiles
+        t = Grid(0.5, 3.0, n).nodes
+        kernel = FractionalBM(H)
+        # the reference is the full-matrix build, frozen: every entry is
+        # 0.5 * (cov(s, t) + cov(t, s))
+        full = kernel.cov(t[:, None], t[None, :])
+        matrix = discretize(kernel, Grid(0.5, 3.0, n)).matrix
+        np.testing.assert_array_equal(matrix, 0.5 * (full + full.T))
+        assert matrix.flags.c_contiguous
+
+    def test_peak_memory_is_about_one_matrix(self):
+        # the full-matrix build held the covariance, its transpose sum and
+        # the average at once, three matrices' bytes
+        grid = Grid(1.0, 2.0, 1601)
+        tracemalloc.start()
+        try:
+            matrix = discretize(FractionalBM(0.75), grid).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix.nbytes
+
+    @pytest.mark.parametrize("kind", ["bm", "fbm"])
+    def test_overflow_at_the_float_range_is_degenerate(self, run_cli, write_ini, kind):
+        # bm's covariance at b is finite, but its average on the diagonal
+        # overflows; fbm's powers overflow in the kernel itself
+        kernel = BrownianMotion() if kind == "bm" else FractionalBM(0.75)
+        with pytest.raises(DegenerateKernelError, match="covariance overflows"):
+            discretize(kernel, Grid(0.0, 1e308, 2))
+        body = (
+            f"[kernel]\nkind = {kind}\n" + ("H = 0.75\n" if kind == "fbm" else "")
+            + "[interval]\na = 0.0\nb = 1e+308\n[grid]\nn = 2\n"
+        )
+        code, out, err = run_cli("solve", "--config", write_ini("s.ini", body))
+        assert (code, out) == (5, "")
+        assert err.startswith("numerical failure: covariance overflows")
+
+    def test_tabulated_table_asymmetric_at_rounding_level(self):
+        nodes = np.linspace(0.0, 1.0, 5)
+        table = 1.0 + np.minimum(nodes[:, None], nodes[None, :])
+        table[1, 3] += 1e-13
+        kernel = Tabulated(nodes, table)
+        s, t = np.meshgrid(nodes, nodes, indexing="ij")
+        np.testing.assert_array_equal(kernel.cov(s, t), kernel.cov(t, s))
+        matrix = discretize(kernel, Grid(0.0, 1.0, 5)).matrix
+        np.testing.assert_array_equal(matrix, 0.5 * (table + table.T))
 
 
 class TestSolve:
