@@ -33,7 +33,7 @@ import numpy as np
 
 from . import audits
 from .config import load_config
-from .energy import _rate, check_optimality, energy, potential
+from .energy import _rate, check_optimality, energy
 from .errors import (
     ConfigError,
     DegenerateKernelError,
@@ -93,10 +93,8 @@ def _certify(cfg, out_dir, command, mu, tol, head, tail):
     The summary lists head after the kernel and tail after the interval;
     potential.csv goes to out_dir.
     """
-    kernel = cfg.kernel
     a, b = cfg.interval()
-    grid = Grid(a, b, cfg.n)
-    report = check_optimality(kernel, mu, grid, tol=tol)
+    report = check_optimality(cfg.kernel, mu, Grid(a, b, cfg.n), tol=tol)
     pairs = (
         _command_pairs(cfg, command)
         + head
@@ -116,7 +114,7 @@ def _certify(cfg, out_dir, command, mu, tol, head, tail):
     )
     _emit(pairs, out_dir, command)
     if out_dir:
-        prof = potential(kernel, mu, grid)
+        prof = report.potential
         write_csv(
             os.path.join(out_dir, "potential.csv"),
             ("t", "phi"),

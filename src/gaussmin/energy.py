@@ -14,7 +14,7 @@ of the probability that the process stays above a high level u on [a, b].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,7 @@ class OptimalityReport:
     support_deviation: max |phi(atom) - energy| over the atoms.
     global_slack: min_grid phi - energy; negative means some grid node
     undercuts the candidate energy, i.e. the measure is not optimal.
+    potential: phi on every grid node, the profile the check read.
     """
 
     energy: float
@@ -79,6 +80,7 @@ class OptimalityReport:
     global_slack: float
     tolerance: float
     passed: bool
+    potential: PotentialProfile = field(repr=False, compare=False)
 
 
 def check_optimality(kernel, mu, grid, tol=1e-8):
@@ -88,7 +90,8 @@ def check_optimality(kernel, mu, grid, tol=1e-8):
     e = energy(kernel, mu)
     on_support = _potential_at(kernel, mu, mu.locations)
     support_deviation = float(np.max(np.abs(on_support - e)))
-    on_grid = _potential_at(kernel, mu, grid.nodes)
+    profile = potential(kernel, mu, grid)
+    on_grid = profile.values
     k = int(np.argmin(on_grid))
     min_potential = float(on_grid[k])
     global_slack = min_potential - e
@@ -101,6 +104,7 @@ def check_optimality(kernel, mu, grid, tol=1e-8):
         global_slack=global_slack,
         tolerance=tol,
         passed=passed,
+        potential=profile,
     )
 
 

@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _threads
 from .errors import EmptyMeasureError
-from .kernels import finite_values
+from .kernels import FractionalBM, finite_values
 from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
@@ -54,18 +55,32 @@ class DiscretizedProblem:
     matrix: np.ndarray
 
 
+def _toeplitz(lags):
+    """Read-only n x n view whose entry (i, j) is lags[|i - j|]."""
+    # row i of the reversed windows over (c_{n-1}, ..., c_1, c_0, ..., c_{n-1})
+    # is c_{|i - j|}, j = 0..n-1
+    both = np.concatenate((lags[:0:-1], lags))
+    return sliding_window_view(both, lags.size)[::-1]
+
+
 def discretize(kernel, grid):
     """Covariance matrix of the kernel on the grid nodes, exactly symmetric.
 
-    Stationary kernels take the n values Gamma(t - t[0]) on the uniform grid
-    and expand them to the symmetric Toeplitz matrix.  Other kernels fill
-    one n x n matrix from square tiles of _TILE x _TILE nodes on or above
-    the diagonal: each tile is written in place and mirrored below the
-    diagonal, and a diagonal tile is first averaged with its transpose, so
-    the matrix is exactly symmetric and no other n x n array is made.  For
-    a kernel with cov(s, t) == cov(t, s), every entry equals the average
-    0.5 * (cov(s, t) + cov(t, s)).  A matrix with non-finite entries (the
-    kernel overflows at the grid's scale) raises DegenerateKernelError.
+    On the uniform grid a function of the lag takes n values, so its n x n
+    matrix is a Toeplitz view of one vector.  Stationary kernels expand
+    Gamma(t - t[0]) this way.  Fractional Brownian motion with H != 1/2 has
+    R(s, t) = (V(s) + V(t) - V(|t - s|)) / 2 with V(x) = x^{2H}; it is built
+    as V(t_i) + V(t_j), minus the Toeplitz view of V(t - t[0]), times 1/2,
+    in place.  These are cov's operations with the lag |t_j - t_i| read as
+    t_{|i - j|} - t[0], so an entry differs from cov's by rounding only.
+    Other kernels (Brownian motion, whose min(s, t) is exact, and Tabulated)
+    fill one n x n matrix from square tiles of _TILE x _TILE nodes on or
+    above the diagonal: each tile is written in place and mirrored below
+    the diagonal, and a diagonal tile is first averaged with its transpose,
+    so every entry equals 0.5 * (cov(s, t) + cov(t, s)).  No build makes a
+    second n x n array.  A node below 0 raises DomainError for fBm, and a
+    matrix with non-finite entries (the kernel overflows at the grid's
+    scale) raises DegenerateKernelError.
     """
     t = grid.nodes
     overflow = f"covariance overflows on the grid over [{t[0]}, {t[-1]}]"
@@ -73,10 +88,17 @@ def discretize(kernel, grid):
         lags = finite_values(
             lambda: np.asarray(kernel.gamma(t - t[0]), dtype=float), overflow
         )
-        # row i of the reversed windows over (c_{n-1}, ..., c_1, c_0, ..., c_{n-1})
-        # is c_{|i - j|}, j = 0..n-1
-        both = np.concatenate((lags[:0:-1], lags))
-        matrix = np.ascontiguousarray(sliding_window_view(both, t.size)[::-1])
+        matrix = np.ascontiguousarray(_toeplitz(lags))
+    elif isinstance(kernel, FractionalBM) and kernel.H != 0.5:
+
+        def lagged():
+            v = kernel.variance(t)
+            matrix = np.add.outer(v, v)
+            matrix -= _toeplitz(kernel.variance(t - t[0]))
+            matrix *= 0.5
+            return matrix
+
+        matrix = finite_values(lagged, overflow)
     else:
 
         def tiled():
@@ -119,6 +141,7 @@ class SolverResult:
     energy_trace: np.ndarray | None = None
 
 
+@_threads.one_blas_thread()
 def solve(problem, tol=1e-9, max_iter=200_000):
     """Primal active-set rounds from the best vertex.
 
@@ -133,6 +156,9 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     round near the optimum can raise it at rounding level, and a
     single-node round that leaves the weights unchanged ends the loop.
     Each round counts as one iteration and adds one entry to energy_trace.
+    It runs with numpy's bundled OpenBLAS on one thread (see
+    _threads.one_blas_thread), so its result does not depend on the
+    GAUSSMIN_THREADS cap.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")

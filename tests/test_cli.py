@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, stdout summaries, output files."""
 
 import csv
+import importlib
 import os
 import subprocess
 import sys
@@ -81,6 +82,25 @@ class TestRate:
         assert len(rows) == 401
         report = (out_dir / "rate.txt").read_text()
         assert parse_pairs(report) == parse_pairs(out)
+
+    def test_grid_potential_evaluated_once(self, run_cli, write_ini, tmp_path, monkeypatch):
+        # the equilibrium check's grid potential is the one potential.csv holds
+        grids = []
+        module = importlib.import_module("gaussmin.energy")
+        real = module._potential_at
+
+        def counted(kernel, mu, points):
+            grids.append(len(points))
+            return real(kernel, mu, points)
+
+        monkeypatch.setattr(module, "_potential_at", counted)
+        body = FGN_THREE_POINT + "[grid]\nn = 301\n"
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli("rate", "--config", write_ini("r.ini", body), "--out", out_dir)
+        assert code == 0
+        assert grids.count(301) == 1
+        _, rows = _read_csv(out_dir / "potential.csv")
+        assert len(rows) == 301
 
     def test_no_closed_form_for_odd_width(self, run_cli, write_ini):
         body = "[kernel]\nkind = fgn\nH = 0.75\nh = 1.0\n[interval]\na = 0.0\nb = 1.5\n"

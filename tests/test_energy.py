@@ -154,6 +154,18 @@ class TestCheckOptimality:
         report = check_optimality(BrownianMotion(), dirac(2.0), Grid(1.0, 2.0, 11))
         assert report.global_slack == report.min_potential - report.energy
 
+    def test_report_carries_the_grid_potential(self):
+        kernel, grid = FractionalGaussianNoise(0.75, 1.0), Grid(0.0, 2.0, 401)
+        mu = three_point(0.0, 1.0, c_star(kernel, 1.0))
+        report = check_optimality(kernel, mu, grid, tol=1e-8)
+        prof = potential(kernel, mu, grid)
+        assert report.potential.grid is grid
+        np.testing.assert_array_equal(report.potential.values, prof.values)
+        assert report.min_potential == np.min(prof.values)
+        # the profile takes no part in equality or the repr
+        assert report == check_optimality(kernel, mu, grid, tol=1e-8)
+        assert " potential=" not in repr(report)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-8])
     def test_tolerance_must_be_positive(self, tol):
         with pytest.raises(ValueError, match="tolerance"):

@@ -1,5 +1,8 @@
 """Active-set solver: discretization, convergence, certificates, extraction."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from gaussmin import (
     DegenerateKernelError,
     DiscreteMeasure,
     DiscretizedProblem,
+    DomainError,
     EmptyMeasureError,
     FractionalBM,
     FractionalGaussianNoise,
@@ -79,6 +83,14 @@ class TestDiscretize:
         )
 
 
+def _lag_build(t, H):
+    """Frozen lag build of fBm: 0.5 * ((V(t_i) + V(t_j)) - V(t_{|i - j|} - t_0))."""
+    v = t ** (2.0 * H)
+    lags = (t - t[0]) ** (2.0 * H)
+    i = np.arange(t.size)
+    return 0.5 * ((v[:, None] + v[None, :]) - lags[np.abs(i[:, None] - i[None, :])])
+
+
 class TestTiledDiscretize:
     @pytest.mark.parametrize("n", [2, 255, 256, 257, 513, 1601])
     @pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.75, 0.95])
@@ -91,8 +103,46 @@ class TestTiledDiscretize:
         # 0.5 * (cov(s, t) + cov(t, s))
         full = kernel.cov(t[:, None], t[None, :])
         matrix = discretize(kernel, Grid(0.5, 3.0, n)).matrix
-        np.testing.assert_array_equal(matrix, 0.5 * (full + full.T))
         assert matrix.flags.c_contiguous
+        np.testing.assert_array_equal(matrix, matrix.T)
+        if H == 0.5:
+            # Brownian motion stays on the tiles, exact min(s, t)
+            np.testing.assert_array_equal(matrix, 0.5 * (full + full.T))
+        else:
+            # the lag build reads the lag t_j - t_i as t_{|i - j|} - t_0,
+            # which moves an entry by rounding only; the largest gap, about
+            # 1e-14, is at small H, where V is steepest at the first lag
+            np.testing.assert_array_equal(matrix, _lag_build(t, H))
+            np.testing.assert_allclose(matrix, full, rtol=0.0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        H=st.floats(0.02, 0.98).filter(lambda H: H != 0.5),
+        a=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        width=st.floats(0.01, 10.0),
+        n=st.integers(2, 300),
+    )
+    def test_lag_build_property(self, H, a, width, n):
+        grid = Grid(a, a + width, n)
+        t = grid.nodes
+        matrix = discretize(FractionalBM(H), grid).matrix
+        np.testing.assert_array_equal(matrix, _lag_build(t, H))
+        np.testing.assert_array_equal(matrix, matrix.T)
+        # each rounded node moves a lag by a few eps * b; V's slope is
+        # largest at the first lag (H < 1/2) or at b (H > 1/2)
+        b = t[-1]
+        slope = 2.0 * H * max(grid.step ** (2.0 * H - 1.0), b ** (2.0 * H - 1.0))
+        tol = 4.0 * np.finfo(float).eps * (max(1.0, b ** (2.0 * H)) + b * slope)
+        full = FractionalBM(H).cov(t[:, None], t[None, :])
+        np.testing.assert_allclose(matrix, full, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("n", [5, 257, 1001])
+    @pytest.mark.parametrize("H", [0.3, 0.5, 0.75])
+    def test_grid_crossing_the_origin_is_a_domain_error(self, H, n):
+        # the lag build (H != 1/2) and the tiles (H = 1/2), within one
+        # tile and past it
+        with pytest.raises(DomainError, match="nonnegative"):
+            discretize(FractionalBM(H), Grid(-0.5, 1.0, n))
 
     def test_peak_memory_is_about_one_matrix(self):
         # the full-matrix build held the covariance, its transpose sum and
@@ -282,6 +332,36 @@ class TestSolve:
     def test_max_iter_validation(self):
         with pytest.raises(ValueError, match="max_iter"):
             solve(_problem(np.eye(2)), max_iter=0)
+
+    def test_output_does_not_depend_on_the_thread_cap(self, tmp_path):
+        # two OpenBLAS threads round the solver's products differently from
+        # one, so each cap is a fresh interpreter whose BLAS variables come
+        # from the cap alone; at n = 401 the rough kernel's printed sigma_sq
+        # differed in its last digit before solve ran on one thread
+        cfg = tmp_path / "rough.ini"
+        cfg.write_text(
+            "[kernel]\nkind = fgn\nH = 0.3\nh = 1.0\n[interval]\na = 0.0\nb = 3.0\n"
+            "[grid]\nn = 401\n[solver]\ntol = 1e-9\n"
+        )
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        runs = []
+        for cap in ("1", "2"):
+            out_dir = tmp_path / f"cap{cap}"
+            res = subprocess.run(
+                [sys.executable, "-m", "gaussmin.cli", "solve", "--config", cfg, "--out", out_dir],
+                env={**env, "PYTHONPATH": src, "GAUSSMIN_THREADS": cap},
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            files = {f: (out_dir / f).read_bytes() for f in sorted(os.listdir(out_dir))}
+            runs.append((res.stdout, files))
+        assert b"sigma_sq = " in runs[0][0]
+        assert runs[0] == runs[1]
 
 
 @st.composite
