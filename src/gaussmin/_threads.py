@@ -16,9 +16,10 @@ Hit counting runs inside one_blas_thread(), which sets numpy's bundled
 OpenBLAS to one thread: the pool already keeps every core busy, and a
 spinning OpenBLAS helper thread would take a core from a worker.  The
 Cholesky factor is computed inside it too, so the factor, and with it
-every Monte Carlo number, does not depend on the cap.  The solver runs
-inside it as well: two threads round its products and KKT solves
-differently from one, so its result would otherwise depend on the cap.
+every Monte Carlo number, does not depend on the cap.  The solver and the
+energy and equilibrium check (energy.energy, energy.check_optimality) run
+inside it as well: two threads round their products and KKT solves
+differently from one, so their results would otherwise depend on the cap.
 """
 
 import contextlib

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _threads
 from .kernels import finite_values
 from .measures import Grid
 
@@ -39,13 +40,18 @@ def _potential_at(kernel, mu, points):
     )
 
 
+def _support_energy(kernel, mu):
+    """phi on the atoms, w @ C, and the energy (w @ C) @ w; a non-finite phi
+    makes the energy non-finite, so either overflow reports the energy."""
+    x, message = mu.locations, "energy of the measure overflows"
+    phi = finite_values(lambda: mu.weights @ kernel.cov(x[:, None], x[None, :]), message)
+    return phi, float(finite_values(lambda: phi @ mu.weights, message))
+
+
+@_threads.one_blas_thread()
 def energy(kernel, mu):
     """Double integral of the covariance against mu x mu."""
-    locations = mu.locations
-    return float(finite_values(
-        lambda: mu.weights @ kernel.cov(locations[:, None], locations[None, :]) @ mu.weights,
-        "energy of the measure overflows",
-    ))
+    return _support_energy(kernel, mu)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +89,16 @@ class OptimalityReport:
     potential: PotentialProfile = field(repr=False, compare=False)
 
 
+@_threads.one_blas_thread()
 def check_optimality(kernel, mu, grid, tol=1e-8):
-    """Equilibrium test: phi = energy on the support, phi >= energy on the grid."""
+    """Equilibrium test: phi = energy on the support, phi >= energy on the grid.
+
+    The energy is energy()'s, from the one evaluation of phi on the support.
+    Runs on one OpenBLAS thread, so phi does not depend on GAUSSMIN_THREADS.
+    """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    e = energy(kernel, mu)
-    on_support = _potential_at(kernel, mu, mu.locations)
+    on_support, e = _support_energy(kernel, mu)
     support_deviation = float(np.max(np.abs(on_support - e)))
     profile = potential(kernel, mu, grid)
     on_grid = profile.values

@@ -272,8 +272,8 @@ class Tabulated(Kernel):
         if np.max(np.abs(matrix - matrix.T), initial=0.0) > 1e-12:
             raise ValueError("tabulated matrix is not symmetric within 1e-12")
         if (matrix != matrix.T).any():
-            # stored averaged, so cov(s, t) == cov(t, s) exactly and a
-            # mirrored tile of discretize holds the average; an exactly
+            # stored averaged, so cov(s, t) == cov(t, s) exactly and the
+            # matrix discretize gathers from it is symmetric; an exactly
             # symmetric table is kept as given, huge entries included
             with np.errstate(over="ignore"):
                 matrix = 0.5 * (matrix + matrix.T)
@@ -308,9 +308,9 @@ class Tabulated(Kernel):
     def cov(self, s, t):
         s_arr, sc1 = _astuple(s)
         t_arr, sc2 = _astuple(t)
-        s_b, t_b = np.broadcast_arrays(s_arr, t_arr)
-        i = self._index(s_b.ravel()).reshape(s_b.shape)
-        j = self._index(t_b.ravel()).reshape(t_b.shape)
+        # one search per point of each argument, not per broadcast pair
+        i = self._index(s_arr).reshape(s_arr.shape)
+        j = self._index(t_arr).reshape(t_arr.shape)
         return _ret(self.matrix[i, j], sc1 and sc2)
 
 

@@ -42,10 +42,6 @@ from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
 
-# side of the square tiles a non-stationary covariance matrix is built from:
-# a few tiles' temporaries stay far below the n x n matrix itself
-_TILE = 256
-
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedProblem:
@@ -73,14 +69,12 @@ def discretize(kernel, grid):
     as V(t_i) + V(t_j), minus the Toeplitz view of V(t - t[0]), times 1/2,
     in place.  These are cov's operations with the lag |t_j - t_i| read as
     t_{|i - j|} - t[0], so an entry differs from cov's by rounding only.
-    Other kernels (Brownian motion, whose min(s, t) is exact, and Tabulated)
-    fill one n x n matrix from square tiles of _TILE x _TILE nodes on or
-    above the diagonal: each tile is written in place and mirrored below
-    the diagonal, and a diagonal tile is first averaged with its transpose,
-    so every entry equals 0.5 * (cov(s, t) + cov(t, s)).  No build makes a
-    second n x n array.  A node below 0 raises DomainError for fBm, and a
-    matrix with non-finite entries (the kernel overflows at the grid's
-    scale) raises DegenerateKernelError.
+    Other kernels (Brownian motion, whose min(s, t) is exact, and Tabulated,
+    whose stored table is exactly symmetric) are one call,
+    cov(t[:, None], t[None, :]).  No build makes a second n x n array.  A
+    node below 0 raises DomainError for fBm, and a matrix with non-finite
+    entries, or with a variance past half the float range, raises
+    DegenerateKernelError.
     """
     t = grid.nodes
     overflow = f"covariance overflows on the grid over [{t[0]}, {t[-1]}]"
@@ -100,23 +94,12 @@ def discretize(kernel, grid):
 
         matrix = finite_values(lagged, overflow)
     else:
-
-        def tiled():
-            matrix = np.empty((t.size, t.size))
-            for r0 in range(0, t.size, _TILE):
-                rows = slice(r0, r0 + _TILE)
-                for c0 in range(r0, t.size, _TILE):
-                    cols = slice(c0, c0 + _TILE)
-                    tile = np.asarray(kernel.cov(t[rows, None], t[None, cols]), dtype=float)
-                    if c0 == r0:
-                        # variances bound the other entries, so when any is
-                        # past half the float range this average overflows
-                        tile = 0.5 * (tile + tile.T)
-                    matrix[rows, cols] = tile
-                    matrix[cols, rows] = tile.T
-            return matrix
-
-        matrix = finite_values(tiled, overflow)
+        matrix = finite_values(
+            lambda: np.asarray(kernel.cov(t[:, None], t[None, :]), dtype=float), overflow
+        )
+    # solve forms 2 M w, which overflows once a variance passes half the
+    # float range
+    finite_values(lambda: 2.0 * np.diagonal(matrix), overflow)
     matrix.flags.writeable = False
     return DiscretizedProblem(grid=grid, matrix=matrix)
 

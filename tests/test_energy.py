@@ -1,8 +1,13 @@
 """Energy, potential, equilibrium check, and the rate map."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gaussmin
 from gaussmin import (
     BrownianMotion,
     DegenerateKernelError,
@@ -165,6 +170,57 @@ class TestCheckOptimality:
         # the profile takes no part in equality or the repr
         assert report == check_optimality(kernel, mu, grid, tol=1e-8)
         assert " potential=" not in repr(report)
+
+    def test_energy_is_the_mean_potential_on_the_support(self):
+        # the report takes the energy from phi on the support, with the
+        # operations energy() runs, so the two agree to the bit
+        kernel = FractionalGaussianNoise(0.3, 1.0)
+        x = np.linspace(0.0, 3.0, 301)
+        w = 1.0 + np.sin(7.0 * x) ** 2
+        mu = DiscreteMeasure(x, w / w.sum())
+        report = check_optimality(kernel, mu, Grid(0.0, 3.0, 301))
+        assert report.energy == energy(kernel, mu)
+
+    def test_potential_does_not_depend_on_the_thread_cap(self, tmp_path):
+        # two OpenBLAS threads round the potential's product differently
+        # from one, so each cap is a fresh interpreter whose BLAS variables
+        # come from the cap alone; with 1,601 atoms potential.csv differed
+        # between caps before the check ran on one thread
+        x = np.linspace(0.0, 3.0, 1601)
+        w = 1.0 + np.sin(7.0 * x) ** 2
+        w /= w.sum()
+        rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, w))
+        measure = tmp_path / "m.csv"
+        measure.write_text("location,weight\n" + rows)
+        cfg = tmp_path / "rough.ini"
+        cfg.write_text(
+            "[kernel]\nkind = fgn\nH = 0.3\nh = 1.0\n[interval]\na = 0.0\nb = 3.0\n"
+            "[grid]\nn = 1601\n"
+        )
+        src = os.path.dirname(os.path.dirname(gaussmin.__file__))
+        env = {
+            k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        runs = []
+        for cap in ("1", "2"):
+            out_dir = tmp_path / f"cap{cap}"
+            res = subprocess.run(
+                [
+                    sys.executable, "-m", "gaussmin.cli", "verify", "--config", cfg,
+                    "--measure", measure, "--out", out_dir,
+                ],
+                env={**env, "PYTHONPATH": src, "GAUSSMIN_THREADS": cap},
+                capture_output=True,
+                timeout=120,
+            )
+            files = {f: (out_dir / f).read_bytes() for f in sorted(os.listdir(out_dir))}
+            runs.append((res.returncode, res.stdout, files))
+        # the measure is not the minimizer, so the check fails (exit 2)
+        # after writing its summary and potential
+        assert runs[0][0] == 2
+        assert "potential.csv" in runs[0][2]
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8])
     def test_tolerance_must_be_positive(self, tol):

@@ -226,6 +226,28 @@ class TestTabulated:
         with pytest.raises(GridError):
             self._kernel().cov(0.5, 1.0)
 
+    def test_outer_query_equals_elementwise_lookups(self):
+        nodes = np.linspace(1.0, 2.0, 7)
+        kernel = Tabulated(nodes, FractionalBM(0.7).cov(nodes[:, None], nodes[None, :]))
+        s = nodes[[4, 0, 6, 4]]
+        got = kernel.cov(s[:, None], nodes[None, :])
+        assert got.shape == (4, 7)
+        want = [[kernel.cov(x, y) for y in nodes] for x in s]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            kernel.cov(nodes[:, None], nodes[None, :]), kernel.matrix
+        )
+
+    @pytest.mark.parametrize("side", ["s", "t"])
+    def test_off_node_point_in_either_argument_rejected(self, side):
+        nodes = np.linspace(1.0, 2.0, 7)
+        kernel = Tabulated(nodes, np.eye(7))
+        off = nodes.copy()
+        off[3] += 0.01
+        s, t = (off, nodes) if side == "s" else (nodes, off)
+        with pytest.raises(GridError, match=repr(float(off[3]))):
+            kernel.cov(s[:, None], t[None, :])
+
     def test_validation(self):
         nodes = np.array([0.0, 1.0])
         with pytest.raises(ValueError):

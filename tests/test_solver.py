@@ -146,26 +146,52 @@ class TestTiledDiscretize:
 
     def test_peak_memory_is_about_one_matrix(self):
         # the full-matrix build held the covariance, its transpose sum and
-        # the average at once, three matrices' bytes
+        # the average at once, three matrices' bytes; a table is gathered
+        # in one call from one lookup per node and argument
         grid = Grid(1.0, 2.0, 1601)
-        tracemalloc.start()
-        try:
-            matrix = discretize(FractionalBM(0.75), grid).matrix
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * matrix.nbytes
+        t = grid.nodes
+        table = Tabulated(t, FractionalBM(0.75).cov(t[:, None], t[None, :]))
+        kernels = {"fbm": FractionalBM(0.75), "bm": BrownianMotion(), "tabulated": table}
+        for name, kernel in kernels.items():
+            tracemalloc.start()
+            try:
+                matrix = discretize(kernel, grid).matrix
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * matrix.nbytes, name
 
     @pytest.mark.parametrize("kind", ["bm", "fbm"])
     def test_overflow_at_the_float_range_is_degenerate(self, run_cli, write_ini, kind):
-        # bm's covariance at b is finite, but its average on the diagonal
-        # overflows; fbm's powers overflow in the kernel itself
+        # bm's covariance at b is finite, but its variance there is past
+        # half the float range, so 2 M w would overflow in solve; fbm's
+        # powers overflow in the kernel itself
         kernel = BrownianMotion() if kind == "bm" else FractionalBM(0.75)
         with pytest.raises(DegenerateKernelError, match="covariance overflows"):
             discretize(kernel, Grid(0.0, 1e308, 2))
         body = (
             f"[kernel]\nkind = {kind}\n" + ("H = 0.75\n" if kind == "fbm" else "")
             + "[interval]\na = 0.0\nb = 1e+308\n[grid]\nn = 2\n"
+        )
+        code, out, err = run_cli("solve", "--config", write_ini("s.ini", body))
+        assert (code, out) == (5, "")
+        assert err.startswith("numerical failure: covariance overflows")
+
+    @pytest.mark.parametrize("variance", [1e308, 1.5e308])
+    def test_tabulated_variance_past_half_the_float_range_is_degenerate(
+        self, run_cli, write_ini, tmp_path, variance
+    ):
+        # an exactly symmetric, finite table, but solve forms 2 M w
+        table = np.diag([1.0, variance, 1.0])
+        with pytest.raises(DegenerateKernelError, match="covariance overflows"):
+            discretize(Tabulated(np.linspace(0.0, 1.0, 3), table), Grid(0.0, 1.0, 3))
+        lines = ["i,j,value"] + [
+            f"{i},{j},{float(table[i, j])!r}" for i in range(3) for j in range(3)
+        ]
+        (tmp_path / "m.csv").write_text("\n".join(lines) + "\n")
+        body = (
+            "[kernel]\nkind = tabulated\npath = m.csv\n"
+            "[interval]\na = 0.0\nb = 1.0\n[grid]\nn = 3\n"
         )
         code, out, err = run_cli("solve", "--config", write_ini("s.ini", body))
         assert (code, out) == (5, "")
