@@ -14,17 +14,18 @@ directory is configured (--out wins over [output] dir), writes the same
 summary plus CSV tables there.  Exit codes: 0 success, 2 a verification,
 convergence, or assumption check failed, 3 no closed form applies to the
 configured problem, 4 malformed input or a kernel the operation does not
-apply to, 5 numerical failure (a covariance that cannot be factorized, a
-degenerate kernel, a solution pruned to nothing, or an array too large to
-allocate).  Code 2 still prints
-the full summary.  Code 3 (from rate) prints nothing on stdout, only the
-reason and a pointer to solve on stderr; 4 and 5 print a one-line message
-on stderr.
+apply to, or output that cannot be written (a closed stdout, an --out
+directory that cannot be made), 5 numerical failure (a covariance that
+cannot be factorized, a degenerate kernel, a solution pruned to nothing,
+or an array too large to allocate).  Code 2 still prints the full summary.
+Code 3 (from rate) prints nothing on stdout, only the reason and a pointer
+to solve on stderr; 4 and 5 print a one-line message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -384,12 +385,23 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         out_dir = args.out if args.out is not None else cfg.out_dir
-        return _DISPATCH[args.command](cfg, out_dir, args)
+        code = _DISPATCH[args.command](cfg, out_dir, args)
+        # a summary that fits the buffer meets a closed pipe only here
+        sys.stdout.flush()
+        return code
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except GaussminError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone; the flush at exit would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stderr may be the same closed pipe (2>&1)
+        with contextlib.suppress(OSError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

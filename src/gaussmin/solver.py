@@ -31,6 +31,7 @@ kernels) is reached in a few rounds, not one node at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,13 +43,33 @@ from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
 
+# rows of the equilibrium system copied per step in _equilibrium
+_KKT_ROWS = 256
 
-@dataclass(frozen=True, eq=False)
+
 class DiscretizedProblem:
-    """Grid plus the symmetrized covariance matrix on its nodes."""
+    """Grid plus the covariance matrix M on its nodes, handed out by rows.
 
-    grid: Grid
-    matrix: np.ndarray
+    rows(idx) returns M[idx] for an int, an index array or a slice, and
+    diagonal is M's diagonal; solve reads nothing else.  matrix, the whole
+    n x n array (read-only), is built as rows(slice(None)) on first access.
+    Given a matrix, the problem reads its rows from it.
+    """
+
+    def __init__(self, grid, matrix=None, *, rows=None, diagonal=None):
+        if matrix is not None:
+            # cached_property reads the instance dict first
+            self.__dict__["matrix"] = matrix
+            rows, diagonal = matrix.__getitem__, np.diagonal(matrix)
+        self.grid = grid
+        self.rows = rows
+        self.diagonal = diagonal
+
+    @cached_property
+    def matrix(self):
+        matrix = np.ascontiguousarray(self.rows(slice(None)))
+        matrix.flags.writeable = False
+        return matrix
 
 
 def _toeplitz(lags):
@@ -60,21 +81,25 @@ def _toeplitz(lags):
 
 
 def discretize(kernel, grid):
-    """Covariance matrix of the kernel on the grid nodes, exactly symmetric.
+    """Covariance of the kernel on the grid nodes, as a row reader.
 
-    On the uniform grid a function of the lag takes n values, so its n x n
-    matrix is a Toeplitz view of one vector.  Stationary kernels expand
-    Gamma(t - t[0]) this way.  Fractional Brownian motion with H != 1/2 has
-    R(s, t) = (V(s) + V(t) - V(|t - s|)) / 2 with V(x) = x^{2H}; it is built
-    as V(t_i) + V(t_j), minus the Toeplitz view of V(t - t[0]), times 1/2,
-    in place.  These are cov's operations with the lag |t_j - t_i| read as
+    Only O(n) vectors are computed here; rows(idx) builds M[idx] from them
+    on demand, with the same operations for every entry whichever rows
+    are asked for, so the rows of any call agree bit for bit and the
+    whole matrix is exactly symmetric.  On the uniform grid a function of
+    the lag takes n values, so its matrix is a Toeplitz view of one
+    vector.  Stationary kernels keep Gamma(t - t[0]) and read rows of that
+    view.  Fractional Brownian motion with H != 1/2 has
+    R(s, t) = (V(s) + V(t) - V(|t - s|)) / 2 with V(x) = x^{2H}; a row is
+    V(t_i) + V(t_j), minus the Toeplitz row of V(t - t[0]), times 1/2.
+    These are cov's operations with the lag |t_j - t_i| read as
     t_{|i - j|} - t[0], so an entry differs from cov's by rounding only.
-    Other kernels (Brownian motion, whose min(s, t) is exact, and Tabulated,
-    whose stored table is exactly symmetric) are one call,
-    cov(t[:, None], t[None, :]).  No build makes a second n x n array.  A
-    node below 0 raises DomainError for fBm, and a matrix with non-finite
-    entries, or with a variance past half the float range, raises
-    DegenerateKernelError.
+    Other kernels (Brownian motion, whose min(s, t) is exact, and
+    Tabulated, whose stored table is exactly symmetric) keep the nodes and
+    call cov(t[idx][..., None], t).  A node below 0 raises DomainError for
+    fBm, and non-finite input vectors, or a variance past half the float
+    range, raise DegenerateKernelError; every entry is then finite, since
+    no entry exceeds the largest variance in size.
     """
     t = grid.nodes
     overflow = f"covariance overflows on the grid over [{t[0]}, {t[-1]}]"
@@ -82,26 +107,33 @@ def discretize(kernel, grid):
         lags = finite_values(
             lambda: np.asarray(kernel.gamma(t - t[0]), dtype=float), overflow
         )
-        matrix = np.ascontiguousarray(_toeplitz(lags))
+        toeplitz = _toeplitz(lags)
+
+        def rows(idx):
+            return toeplitz[idx]
+
+        diagonal = np.broadcast_to(lags[0], t.shape)
     elif isinstance(kernel, FractionalBM) and kernel.H != 0.5:
+        v = finite_values(lambda: kernel.variance(t), overflow)
+        toeplitz = _toeplitz(finite_values(lambda: kernel.variance(t - t[0]), overflow))
 
-        def lagged():
-            v = kernel.variance(t)
-            matrix = np.add.outer(v, v)
-            matrix -= _toeplitz(kernel.variance(t - t[0]))
-            matrix *= 0.5
-            return matrix
+        def rows(idx):
+            block = np.add.outer(v[idx], v)
+            block -= toeplitz[idx]
+            block *= 0.5
+            return block
 
-        matrix = finite_values(lagged, overflow)
+        diagonal = finite_values(lambda: 0.5 * ((v + v) - toeplitz[0, 0]), overflow)
     else:
-        matrix = finite_values(
-            lambda: np.asarray(kernel.cov(t[:, None], t[None, :]), dtype=float), overflow
-        )
+
+        def rows(idx):
+            return np.asarray(kernel.cov(t[idx][..., None], t), dtype=float)
+
+        diagonal = np.asarray(kernel.cov(t, t), dtype=float)
     # solve forms 2 M w, which overflows once a variance passes half the
     # float range
-    finite_values(lambda: 2.0 * np.diagonal(matrix), overflow)
-    matrix.flags.writeable = False
-    return DiscretizedProblem(grid=grid, matrix=matrix)
+    finite_values(lambda: 2.0 * diagonal, overflow)
+    return DiscretizedProblem(grid, rows=rows, diagonal=diagonal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,21 +171,25 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     round near the optimum can raise it at rounding level, and a
     single-node round that leaves the weights unchanged ends the loop.
     Each round counts as one iteration and adds one entry to energy_trace.
-    It runs with numpy's bundled OpenBLAS on one thread (see
-    _threads.one_blas_thread), so its result does not depend on the
-    GAUSSMIN_THREADS cap.
+    M is read through problem.rows only: the start row, then once per
+    round the rows of the face, which give both the equilibrium system
+    and the new gradient g = 2 M w; the certificate of the returned
+    weights is their last gradient.  An atomic minimizer thus reads a few
+    rows of M, never all of it.  It runs with numpy's bundled OpenBLAS on
+    one thread (see _threads.one_blas_thread), so its result does not
+    depend on the GAUSSMIN_THREADS cap.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    M = problem.matrix
-    start = int(np.argmin(np.diagonal(M)))
-    w = np.zeros(M.shape[0])
+    start = int(np.argmin(problem.diagonal))
+    row = problem.rows(start)
+    w = np.zeros(row.size)
     w[start] = 1.0
-    # M is symmetric, so its contiguous rows serve as columns
-    g = 2.0 * M[start]
-    energy = float(M[start, start])
+    # M is symmetric, so its rows serve as columns
+    g = 2.0 * row
+    energy = float(row[start])
     trace = [energy]
 
     iterations = 0
@@ -171,10 +207,13 @@ def solve(problem, tol=1e-9, max_iter=200_000):
         else:
             local = (g <= np.r_[np.inf, g[:-1]]) & (g <= np.r_[g[1:], np.inf])
             added = np.flatnonzero(local & (g < lam))
-        face, x = _face_minimum(M, np.union1d(np.flatnonzero(w), added), w)
+        face = np.union1d(np.flatnonzero(w), added)
+        face, x, rows = _face_minimum(problem.rows(face), face, w)
         trial = np.zeros_like(w)
         trial[face] = x
-        g = 2.0 * (x @ M[face])
+        g = 2.0 * (x @ rows)
+        # freed before the next round reads its rows
+        del rows
         trial_energy = 0.5 * float(x @ g[face])
         # a single-node round that changes nothing would repeat forever
         stalled = single and np.array_equal(trial, w)
@@ -184,8 +223,7 @@ def solve(problem, tol=1e-9, max_iter=200_000):
         if stalled:
             break
 
-    # fresh certificate for the returned iterate
-    g = 2.0 * (M @ w)
+    # certificate for the returned iterate, from its gradient g
     final_energy = 0.5 * float(w @ g)
     final_gap = float(w @ g) - float(np.min(g))
     if not converged:
@@ -201,30 +239,22 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     )
 
 
-def _face_minimum(M, face, w):
+def _face_minimum(rows, face, w):
     """Minimize the energy over the simplex face spanned by the nodes in face.
 
-    Starts from w, a probability vector supported inside face (nodes just
-    added carry weight 0).  Solves M_SS x = c 1, sum x = 1 on S = face
-    (least squares when the system is singular); if some x_i <= 0, it moves
-    from the current weights toward x up to the first weight that reaches
-    zero (a ratio test), drops that node and every other node left at zero
-    with x_i <= 0, and solves again.  Returns the final face and its
-    weights, summing to one: x once it is positive, or the current weights
-    if the system yields non-finite values.
+    rows holds M[face], the covariance rows of the face's nodes, and w is a
+    probability vector supported inside face (nodes just added carry
+    weight 0), the start.  Solves the equilibrium system on the face (see
+    _equilibrium); if some x_i <= 0, it moves from the current weights
+    toward x up to the first weight that reaches zero (a ratio test), drops
+    that node and every other node left at zero with x_i <= 0, and solves
+    again.  Returns the final face, its weights, summing to one (x once it
+    is positive, or the current weights if the system yields non-finite
+    values), and its rows.
     """
     cur = w[face]
     while True:
-        k = face.size
-        kkt = np.ones((k + 1, k + 1))
-        kkt[:k, :k] = M[np.ix_(face, face)]
-        kkt[k, k] = 0.0
-        rhs = np.zeros(k + 1)
-        rhs[k] = 1.0
-        try:
-            x = np.linalg.solve(kkt, rhs)[:k]
-        except np.linalg.LinAlgError:
-            x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        x = _equilibrium(rows, face)
         if not np.all(np.isfinite(x)):
             break
         if np.all(x > 0.0):
@@ -238,8 +268,30 @@ def _face_minimum(M, face, w):
         cur = cur + ratios[first] * (x - cur)
         cur[blocking[first]] = 0.0
         keep = (x > 0.0) | (cur > 0.0)
-        face, cur = face[keep], cur[keep]
-    return face, cur / cur.sum()
+        face, cur, rows = face[keep], cur[keep], rows[keep]
+    return face, cur / cur.sum(), rows
+
+
+def _equilibrium(rows, face):
+    """Solve M_SS x = c 1, sum x = 1 on S = face, given rows = M[face].
+
+    Least squares when the system is singular.
+    """
+    k = face.size
+    kkt = np.empty((k + 1, k + 1))
+    block = kkt[:k, :k]
+    # a block of rows at a time, so no k x k temporary sits beside kkt
+    for lo in range(0, k, _KKT_ROWS):
+        block[lo : lo + _KKT_ROWS] = rows[lo : lo + _KKT_ROWS].take(face, axis=1)
+    kkt[:k, k] = 1.0
+    kkt[k] = 1.0
+    kkt[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        return np.linalg.solve(kkt, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
 
 
 def extract_measure(result, grid, prune=1e-4):

@@ -728,6 +728,56 @@ class TestInvocation:
         )
         assert res.stdout.strip() == "0"
 
+    @staticmethod
+    def _run_module(argv, stdout, stderr=subprocess.PIPE):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "gaussmin.cli", *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=stdout,
+            stderr=stderr,
+            text=True,
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize("command", ["rate", "solve"])
+    def test_closed_stdout_exits_four(self, write_ini, command):
+        # the reading end is closed before the command starts, so the
+        # summary meets a broken pipe however short it is
+        cfg = write_ini("p.ini", FGN_THREE_POINT + "[grid]\nn = 41\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = self._run_module([command, "--config", cfg], write_end)
+        finally:
+            os.close(write_end)
+        assert res.returncode == 4
+        assert res.stderr.startswith("error: cannot write output:")
+        assert "Broken pipe" in res.stderr
+        assert res.stderr.count("\n") == 1
+
+    def test_closed_stdout_and_stderr_exit_four(self, write_ini):
+        # as with 2>&1 | head: the message itself meets the closed pipe
+        cfg = write_ini("p.ini", FGN_THREE_POINT + "[grid]\nn = 41\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = self._run_module(["solve", "--config", cfg], write_end, write_end)
+        finally:
+            os.close(write_end)
+        assert res.returncode == 4
+
+    def test_unwritable_out_directory_exits_four(self, write_ini, tmp_path):
+        (tmp_path / "file").write_text("")
+        cfg = write_ini("r.ini", FGN_THREE_POINT)
+        res = self._run_module(
+            ["rate", "--config", cfg, "--out", tmp_path / "file" / "sub"], subprocess.PIPE
+        )
+        assert res.returncode == 4
+        assert res.stderr.startswith("error: cannot write output:")
+        assert res.stderr.count("\n") == 1
+        assert parse_pairs(res.stdout)["command"] == "rate"
+
     def test_missing_config_file(self, run_cli, tmp_path):
         code, _, err = run_cli("rate", "--config", tmp_path / "absent.ini")
         assert code == 4

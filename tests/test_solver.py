@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from gaussmin import (
     solve,
     three_point,
 )
-from gaussmin import solver
+from gaussmin import _threads, solver
 from gaussmin.solver import _face_minimum
 from oracles import nnls_min_energy
 
@@ -95,8 +96,7 @@ class TestTiledDiscretize:
     @pytest.mark.parametrize("n", [2, 255, 256, 257, 513, 1601])
     @pytest.mark.parametrize("H", [0.05, 0.3, 0.5, 0.75, 0.95])
     def test_equals_averaged_full_matrix(self, H, n):
-        # n around the tile side, 256: one tile, a tile and a one-node
-        # strip, and (at 1601) a ragged last row and column of tiles
+        # n from the smallest grid up to the bench size
         t = Grid(0.5, 3.0, n).nodes
         kernel = FractionalBM(H)
         # the reference is the full-matrix build, frozen: every entry is
@@ -106,7 +106,7 @@ class TestTiledDiscretize:
         assert matrix.flags.c_contiguous
         np.testing.assert_array_equal(matrix, matrix.T)
         if H == 0.5:
-            # Brownian motion stays on the tiles, exact min(s, t)
+            # Brownian motion is read through cov, exact min(s, t)
             np.testing.assert_array_equal(matrix, 0.5 * (full + full.T))
         else:
             # the lag build reads the lag t_j - t_i as t_{|i - j|} - t_0,
@@ -139,8 +139,8 @@ class TestTiledDiscretize:
     @pytest.mark.parametrize("n", [5, 257, 1001])
     @pytest.mark.parametrize("H", [0.3, 0.5, 0.75])
     def test_grid_crossing_the_origin_is_a_domain_error(self, H, n):
-        # the lag build (H != 1/2) and the tiles (H = 1/2), within one
-        # tile and past it
+        # the lag build (H != 1/2) and the cov reads (H = 1/2), at small
+        # and large n
         with pytest.raises(DomainError, match="nonnegative"):
             discretize(FractionalBM(H), Grid(-0.5, 1.0, n))
 
@@ -206,6 +206,170 @@ class TestTiledDiscretize:
         np.testing.assert_array_equal(kernel.cov(s, t), kernel.cov(t, s))
         matrix = discretize(kernel, Grid(0.0, 1.0, 5)).matrix
         np.testing.assert_array_equal(matrix, 0.5 * (table + table.T))
+
+
+def _kernel_on(kind, H, grid):
+    """A kernel of each discretize branch; a table holds fBm H on the nodes."""
+    if kind == "fgn":
+        return FractionalGaussianNoise(H, 1.0)
+    if kind == "increment":
+        return IncrementOf(BrownianMotion(), 0.5)
+    if kind == "fbm":
+        return FractionalBM(H)
+    if kind == "bm":
+        return BrownianMotion()
+    t = grid.nodes
+    return Tabulated(t, FractionalBM(H).cov(t[:, None], t[None, :]))
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRows:
+    @pytest.mark.parametrize("kind", ["fgn", "increment", "fbm", "bm", "tabulated"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        H=st.floats(0.05, 0.95).filter(lambda H: H != 0.5),
+        a=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        width=st.floats(0.01, 10.0),
+        n=st.integers(2, 120),
+        data=st.data(),
+    )
+    def test_rows_are_the_matrix_rows(self, kind, H, a, width, n, data):
+        grid = Grid(a, a + width, n)
+        prob = discretize(_kernel_on(kind, H, grid), grid)
+        picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        # rows read before the whole matrix exists, as solve reads them
+        indexes = [np.unique(picked), np.array(picked), picked[0]]
+        rows = [prob.rows(idx) for idx in indexes]
+        matrix = prob.matrix
+        for idx, block in zip(indexes, rows):
+            assert _same_bits(block, matrix[idx]), idx
+        assert _same_bits(prob.diagonal, np.diagonal(matrix))
+        assert prob.matrix is matrix
+
+    @pytest.mark.parametrize(
+        "kernel, a, b",
+        [(FractionalBM(0.75), 1.0, 2.0), (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0)],
+    )
+    def test_atomic_minimizer_never_builds_the_matrix(self, kernel, a, b):
+        # the left-endpoint Dirac and the two-point measure read one to
+        # four rows of the 20 MB matrix
+        n = 1601
+        tracemalloc.start()
+        try:
+            prob = discretize(kernel, Grid(a, b, n))
+            result = solve(prob, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert "matrix" not in vars(prob)
+        assert peak < 0.05 * 8 * n * n
+
+    def test_hundred_thousand_nodes_solve_without_the_matrix(self):
+        # the whole matrix would take 75 GiB
+        start = time.perf_counter()
+        result = solve(discretize(FractionalBM(0.75), Grid(1.0, 2.0, 100_001)), tol=1e-9)
+        elapsed = time.perf_counter() - start
+        assert result.converged
+        assert result.energy == 1.0
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "kernel, a, b, n",
+        [
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0, 401),
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 1.0, 401),
+            (FractionalGaussianNoise(0.3, 1.0), 0.0, 3.0, 401),
+            (FractionalBM(0.75), 1.0, 2.0, 1601),
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0, 1601),
+            (FractionalGaussianNoise(0.5, 1.0), 0.0, 3.0, 401),
+            (FractionalBM(0.3), 1.0, 2.0, 401),
+            (FractionalGaussianNoise(0.9, 1.0), 0.0, 1.5, 401),
+        ],
+    )
+    def test_same_rounds_as_the_dense_loop(self, kernel, a, b, n):
+        prob = discretize(kernel, Grid(a, b, n))
+        result = solve(prob, tol=1e-9, max_iter=200_000)
+        with _threads.one_blas_thread():
+            weights, trace, iterations, energy_ = _dense_solve(prob.matrix, 1e-9, 200_000)
+        assert _same_bits(result.weights, weights)
+        assert _same_bits(result.energy_trace, trace)
+        assert result.iterations == iterations
+        # the certificate sums the last gradient, not M @ w
+        assert abs(result.energy - energy_) <= 4.0 * np.spacing(energy_)
+
+
+def _dense_solve(M, tol, max_iter):
+    """Frozen dense active-set loop on a prebuilt matrix.
+
+    Returns (weights, energy_trace, iterations, energy); the energy is the
+    certificate's, 0.5 * w @ (2 M w).
+    """
+
+    def face_minimum(face, w):
+        cur = w[face]
+        while True:
+            k = face.size
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = M[np.ix_(face, face)]
+            kkt[k, k] = 0.0
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            try:
+                x = np.linalg.solve(kkt, rhs)[:k]
+            except np.linalg.LinAlgError:
+                x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+            if not np.all(np.isfinite(x)):
+                break
+            if np.all(x > 0.0):
+                cur = x
+                break
+            blocking = np.flatnonzero(x <= 0.0)
+            c = cur[blocking]
+            ratios = np.divide(c, c - x[blocking], out=np.zeros_like(c), where=c > 0.0)
+            first = int(np.argmin(ratios))
+            cur = cur + ratios[first] * (x - cur)
+            cur[blocking[first]] = 0.0
+            keep = (x > 0.0) | (cur > 0.0)
+            face, cur = face[keep], cur[keep]
+        return face, cur / cur.sum()
+
+    start = int(np.argmin(np.diagonal(M)))
+    w = np.zeros(M.shape[0])
+    w[start] = 1.0
+    g = 2.0 * M[start]
+    energy_ = float(M[start, start])
+    trace = [energy_]
+    iterations = 0
+    single = False
+    while iterations < max_iter:
+        lam = float(w @ g)
+        s = int(np.argmin(g))
+        if lam - float(g[s]) <= tol:
+            break
+        iterations += 1
+        if single:
+            added = [s]
+        else:
+            local = (g <= np.r_[np.inf, g[:-1]]) & (g <= np.r_[g[1:], np.inf])
+            added = np.flatnonzero(local & (g < lam))
+        face, x = face_minimum(np.union1d(np.flatnonzero(w), added), w)
+        trial = np.zeros_like(w)
+        trial[face] = x
+        g = 2.0 * (x @ M[face])
+        trial_energy = 0.5 * float(x @ g[face])
+        stalled = single and np.array_equal(trial, w)
+        single = not trial_energy < energy_
+        w, energy_ = trial, trial_energy
+        trace.append(energy_)
+        if stalled:
+            break
+    g = 2.0 * (M @ w)
+    return w, np.asarray(trace), iterations, 0.5 * float(w @ g)
 
 
 class TestSolve:
@@ -296,7 +460,7 @@ class TestSolve:
             np.linalg.solve(kkt, np.eye(5)[4])
         w = np.full(4, 0.25)
         start = float(w @ matrix @ w)
-        face, x = _face_minimum(matrix, np.arange(4), w)
+        face, x, _ = _face_minimum(matrix, np.arange(4), w)
         assert np.all(np.isfinite(x))
         energy_after = float(x @ matrix[np.ix_(face, face)] @ x)
         assert energy_after <= start
