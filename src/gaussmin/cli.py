@@ -11,15 +11,18 @@ Subcommands:
 
 Every command prints a key-value summary to stdout and, when an output
 directory is configured (--out wins over [output] dir), writes the same
-summary plus CSV tables there.  Exit codes: 0 success, 2 a verification,
-convergence, or assumption check failed, 3 no closed form applies to the
-configured problem, 4 malformed input or a kernel the operation does not
-apply to, or output that cannot be written (a closed stdout, an --out
-directory that cannot be made), 5 numerical failure (a covariance that
-cannot be factorized, a degenerate kernel, a solution pruned to nothing,
-or an array too large to allocate).  Code 2 still prints the full summary.
-Code 3 (from rate) prints nothing on stdout, only the reason and a pointer
-to solve on stderr; 4 and 5 print a one-line message on stderr.
+summary as <command>.txt plus its tables there.  One path does both: each
+cmd_* returns (code, pairs, files), pairs the summary after the command and
+kernel lines (None to leave stdout empty), files its (name, write(path))
+pairs in write order, and _publish prints and writes them.  Exit codes: 0
+success, 2 a verification, convergence, or assumption check failed, 3 no
+closed form applies to the configured problem, 4 malformed input or a kernel
+the operation does not apply to, or output that cannot be written (a closed
+stdout, an --out directory that cannot be made), 5 numerical failure (a
+covariance that cannot be factorized, a degenerate kernel, a solution pruned
+to nothing, or an array too large to allocate).  Code 2 still prints the
+full summary.  Code 3 (from rate) prints nothing on stdout, only the reason
+and a pointer to solve on stderr; 4 and 5 print a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ from .errors import (
     FactorizationError,
     GaussminError,
 )
-from .kernels import IncrementOf
+from .kernels import IncrementOf, finite_values
 from .measures import Grid, c_star, load_measure, save_measure
 from .montecarlo import ldp_curve
-from .output import ensure_dir, render_pairs, write_csv, write_report, write_svg
+from .output import render_pairs, write_csv, write_report, write_svg
 from .solver import discretize, extract_measure, solve
 
 EXIT_OK = 0
@@ -81,27 +84,15 @@ def _measure_pairs(mu):
     ]
 
 
-def _emit(pairs, out_dir, stem):
-    print(render_pairs(pairs))
-    if out_dir:
-        ensure_dir(out_dir)
-        write_report(os.path.join(out_dir, stem + ".txt"), pairs)
+def _certify(cfg, mu, tol):
+    """Equilibrium-check mu on the configured grid.
 
-
-def _certify(cfg, out_dir, command, mu, tol, head, tail):
-    """Equilibrium-check mu on the configured grid and report it.
-
-    The summary lists head after the kernel and tail after the interval;
-    potential.csv goes to out_dir.
+    Returns the exit code, the summary from sigma_sq on, and potential.csv.
     """
     a, b = cfg.interval()
     report = check_optimality(cfg.kernel, mu, Grid(a, b, cfg.n), tol=tol)
     pairs = (
-        _command_pairs(cfg, command)
-        + head
-        + _interval_pairs(a, b)
-        + tail
-        + [("sigma_sq", report.energy), ("rate", _rate(report.energy))]
+        [("sigma_sq", report.energy), ("rate", _rate(report.energy))]
         + _measure_pairs(mu)
         + [
             ("energy", report.energy),
@@ -113,18 +104,14 @@ def _certify(cfg, out_dir, command, mu, tol, head, tail):
             ("verified", report.passed),
         ]
     )
-    _emit(pairs, out_dir, command)
-    if out_dir:
-        prof = report.potential
-        write_csv(
-            os.path.join(out_dir, "potential.csv"),
-            ("t", "phi"),
-            (prof.grid.nodes, prof.values),
-        )
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    prof = report.potential
+    columns = (prof.grid.nodes, prof.values)
+    files = [("potential.csv", lambda path: write_csv(path, ("t", "phi"), columns))]
+    return (EXIT_OK if report.passed else EXIT_CHECK_FAILED), pairs, files
 
 
 def cmd_rate(cfg, out_dir, args):
+    """closed-form minimizer, energy, and decay rate"""
     a, b = cfg.interval()
     if cfg.kernel.pinned_origin and a <= 0.0:
         raise ConfigError(
@@ -135,16 +122,14 @@ def cmd_rate(cfg, out_dir, args):
     if name is None:
         print(f"no applicable closed form: {mu}", file=sys.stderr)
         print("use 'gaussmin solve' for a numerical minimizer", file=sys.stderr)
-        return EXIT_NO_CLOSED_FORM
-    code = _certify(
-        cfg, out_dir, "rate", mu, _VERIFY_GRID_TOL, [], [("closed_form", name)]
-    )
-    if out_dir:
-        save_measure(mu, os.path.join(out_dir, "measure.csv"))
-    return code
+        return EXIT_NO_CLOSED_FORM, None, []
+    code, pairs, files = _certify(cfg, mu, _VERIFY_GRID_TOL)
+    pairs = _interval_pairs(a, b) + [("closed_form", name)] + pairs
+    return code, pairs, files + [("measure.csv", functools.partial(save_measure, mu))]
 
 
 def cmd_solve(cfg, out_dir, args):
+    """discretized minimum-energy solve on the interval"""
     kernel = cfg.kernel
     a, b = cfg.interval()
     grid = Grid(a, b, cfg.n)
@@ -153,8 +138,7 @@ def cmd_solve(cfg, out_dir, args):
     mu = extract_measure(result, grid, prune=cfg.prune)
     sigma_sq = result.energy
     pairs = (
-        _command_pairs(cfg, "solve")
-        + _interval_pairs(a, b)
+        _interval_pairs(a, b)
         + [
             ("grid_n", cfg.n),
             ("sigma_sq", sigma_sq),
@@ -167,20 +151,19 @@ def cmd_solve(cfg, out_dir, args):
         ]
         + _measure_pairs(mu)
     )
-    _emit(pairs, out_dir, "solve")
-    if out_dir:
-        write_csv(
-            os.path.join(out_dir, "solution.csv"),
-            ("node", "weight"),
-            (grid.nodes, result.weights),
-        )
-        save_measure(mu, os.path.join(out_dir, "measure.csv"))
-    return EXIT_OK if result.converged else EXIT_CHECK_FAILED
+    columns = (grid.nodes, result.weights)
+    files = [
+        ("solution.csv", lambda path: write_csv(path, ("node", "weight"), columns)),
+        ("measure.csv", functools.partial(save_measure, mu)),
+    ]
+    return (EXIT_OK if result.converged else EXIT_CHECK_FAILED), pairs, files
 
 
 def cmd_verify(cfg, out_dir, args):
-    if not args.tol > 0.0:
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
+    """equilibrium check for a measure loaded from CSV"""
+    # an infinite tolerance would certify any measure
+    if not 0.0 < args.tol < np.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
     a, b = cfg.interval()
     mu = load_measure(args.measure)
     slack = 1e-12 * max(1.0, abs(a), abs(b))
@@ -188,27 +171,28 @@ def cmd_verify(cfg, out_dir, args):
         raise ConfigError(
             f"measure atoms fall outside the interval [{a}, {b}]"
         )
-    head = [("measure_file", args.measure)]
-    return _certify(cfg, out_dir, "verify", mu, args.tol, head, [])
+    code, pairs, files = _certify(cfg, mu, args.tol)
+    return code, [("measure_file", args.measure)] + _interval_pairs(a, b) + pairs, files
 
 
 def cmd_assumptions(cfg, out_dir, args):
+    """run the audits applicable to the kernel"""
     kernel = cfg.kernel
     a, b = cfg.interval()
     reports = audits.applicable_audits(
         kernel, a, b, cfg.audit_samples, cfg.audit_seed, cfg.b_samples
     )
-    pairs = _command_pairs(cfg, "assumptions") + _interval_pairs(a, b)
+    pairs = _interval_pairs(a, b)
     pairs.append(("applicable_audits", len(reports)))
     for rep in reports:
         pairs.extend(rep.rows())
     all_passed = all(rep.passed for rep in reports)
     pairs.append(("all_passed", all_passed))
-    _emit(pairs, out_dir, "assumptions")
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    return (EXIT_OK if all_passed else EXIT_CHECK_FAILED), pairs, []
 
 
 def cmd_simulate(cfg, out_dir, args):
+    """Monte Carlo check of the decay rate"""
     kernel = cfg.kernel
     a, b = cfg.interval()
     if cfg.u_list is None or cfg.trials is None:
@@ -222,44 +206,33 @@ def cmd_simulate(cfg, out_dir, args):
         if name is not None:
             sigma_sq = energy(kernel, mu)
     est = ldp_curve(kernel, (a, b), cfg.n, cfg.u_list, cfg.trials, seed=cfg.mc_seed)
-    pairs = (
-        _command_pairs(cfg, "simulate")
-        + _interval_pairs(a, b)
-        + [
-            ("grid_n", cfg.n),
-            ("trials", cfg.trials),
-            ("seed", cfg.mc_seed),
-            ("theoretical_rate", "" if sigma_sq is None else _rate(sigma_sq)),
-            ("levels", ";".join(repr(float(x)) for x in est.u)),
-            ("normalized_log_tail", ";".join(repr(float(x)) for x in est.log_p_over_u2)),
-            ("flagged_levels", int(np.count_nonzero(est.flagged))),
-        ]
+    pairs = _interval_pairs(a, b) + [
+        ("grid_n", cfg.n),
+        ("trials", cfg.trials),
+        ("seed", cfg.mc_seed),
+        ("theoretical_rate", "" if sigma_sq is None else _rate(sigma_sq)),
+        ("levels", ";".join(repr(float(x)) for x in est.u)),
+        ("normalized_log_tail", ";".join(repr(float(x)) for x in est.log_p_over_u2)),
+        ("flagged_levels", int(np.count_nonzero(est.flagged))),
+    ]
+    header = ("u", "trials", "hits", "p_hat", "log_p_over_u2", "ci_halfwidth", "flag")
+    columns = (
+        est.u,
+        np.full(est.u.size, est.trials),
+        est.hits,
+        est.p_hat,
+        est.log_p_over_u2,
+        est.ci_halfwidth,
+        est.flagged.astype(np.int64),
     )
-    _emit(pairs, out_dir, "simulate")
-    if out_dir:
-        write_csv(
-            os.path.join(out_dir, "ldp.csv"),
-            ("u", "trials", "hits", "p_hat", "log_p_over_u2", "ci_halfwidth", "flag"),
-            (
-                est.u,
-                np.full(est.u.size, est.trials),
-                est.hits,
-                est.p_hat,
-                est.log_p_over_u2,
-                est.ci_halfwidth,
-                est.flagged.astype(np.int64),
-            ),
-        )
-        # a single level has no curve to draw
-        if "svg" in cfg.formats and est.u.size >= 2:
-            write_svg(
-                os.path.join(out_dir, "ldp.svg"),
-                est.u,
-                est.log_p_over_u2,
-                "normalized log tail probability vs level",
-                ylabel="log p / u^2",
-            )
-    return EXIT_OK
+    files = [("ldp.csv", lambda path: write_csv(path, header, columns))]
+    # a single level has no curve to draw
+    if "svg" in cfg.formats and est.u.size >= 2:
+        title = "normalized log tail probability vs level"
+        files.append(("ldp.svg", lambda path: write_svg(
+            path, est.u, est.log_p_over_u2, title, ylabel="log p / u^2"
+        )))
+    return EXIT_OK, pairs, files
 
 
 def _figure_grids(h):
@@ -273,6 +246,7 @@ def _figure_grids(h):
 
 
 def cmd_figures(cfg, out_dir, args):
+    """CSV/SVG curves for increment-kernel diagnostics"""
     kernel = cfg.kernel
     if not isinstance(kernel, IncrementOf):
         raise ConfigError(
@@ -283,49 +257,39 @@ def cmd_figures(cfg, out_dir, args):
     h = kernel.h
     cstar = c_star(kernel, h)
     sym, gam_grid, pot_grid = _figure_grids(h)
-    f = kernel.increment(sym)
-    f1 = kernel.increment_d1(sym)
-    f2 = kernel.increment_d2(sym)
-    gam = kernel.gamma(gam_grid)
     g = kernel.gamma
 
     def g1(t):
         return 0.5 * (kernel.increment_d1(t) - kernel.increment_d1(-t))
 
-    pot = g(pot_grid) + cstar * g(h - pot_grid) + g(2.0 * h - pot_grid)
-    pot_d1 = g1(pot_grid) - cstar * g1(h - pot_grid) - g1(2.0 * h - pot_grid)
+    def pot(t):
+        return g(t) + cstar * g(h - t) + g(2.0 * h - t)
 
-    ensure_dir(out_dir)
+    def pot_d1(t):
+        return g1(t) - cstar * g1(h - t) - g1(2.0 * h - t)
+
     tables = [
-        ("increment_function", sym, f, "f"),
-        ("increment_function_d1", sym, f1, "f'"),
-        ("increment_function_d2", sym, f2, "f''"),
-        ("autocovariance", gam_grid, gam, "Gamma"),
+        ("increment_function", sym, kernel.increment, "f"),
+        ("increment_function_d1", sym, kernel.increment_d1, "f'"),
+        ("increment_function_d2", sym, kernel.increment_d2, "f''"),
+        ("autocovariance", gam_grid, g, "Gamma"),
         ("three_point_potential", pot_grid, pot, "gamma_pot"),
         ("three_point_potential_d1", pot_grid, pot_d1, "gamma_pot'"),
     ]
-    written = []
-    for stem, x, y, label in tables:
-        path = write_csv(
-            os.path.join(out_dir, stem + ".csv"), ("t", "value"), (x, y)
-        )
-        written.append(os.path.basename(path))
+    files = []
+    for stem, x, curve, label in tables:
+        y = finite_values(lambda: curve(x), f"{stem} overflows at lag {h}")
+        csv = functools.partial(write_csv, header=("t", "value"), columns=(x, y))
+        files.append((stem + ".csv", csv))
         if "svg" in cfg.formats:
-            svg = write_svg(
-                os.path.join(out_dir, stem + ".svg"),
-                x,
-                y,
-                stem.replace("_", " "),
-                ylabel=label,
-            )
-            written.append(os.path.basename(svg))
-    pairs = _command_pairs(cfg, "figures") + [
+            svg = functools.partial(write_svg, x=x, y=y, title=stem.replace("_", " "), ylabel=label)
+            files.append((stem + ".svg", svg))
+    pairs = [
         ("lag", h),
         ("interior_weight", cstar),
-        ("files", ";".join(written)),
+        ("files", ";".join(name for name, _ in files)),
     ]
-    _emit(pairs, out_dir, "figures")
-    return EXIT_OK
+    return EXIT_OK, pairs, files
 
 
 _DISPATCH = {
@@ -336,6 +300,17 @@ _DISPATCH = {
     "simulate": cmd_simulate,
     "figures": cmd_figures,
 }
+
+
+def _publish(cfg, command, out_dir, pairs, files):
+    """Print the summary; under out_dir write it as <command>.txt, then files."""
+    pairs = _command_pairs(cfg, command) + pairs
+    print(render_pairs(pairs))
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        write_report(os.path.join(out_dir, command + ".txt"), pairs)
+        for name, write in files:
+            write(os.path.join(out_dir, name))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,16 +332,9 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("rate", "closed-form minimizer, energy, and decay rate"),
-        ("solve", "discretized minimum-energy solve on the interval"),
-        ("verify", "equilibrium check for a measure loaded from CSV"),
-        ("assumptions", "run the audits applicable to the kernel"),
-        ("simulate", "Monte Carlo check of the decay rate"),
-        ("figures", "CSV/SVG curves for increment-kernel diagnostics"),
-    ]
-    for name, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _DISPATCH.items():
+        # python -OO strips docstrings
+        p = sub.add_parser(name, help=(command.__doc__ or "").partition("\n")[0])
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="output directory override")
         if name == "verify":
@@ -385,7 +353,9 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         out_dir = args.out if args.out is not None else cfg.out_dir
-        code = _DISPATCH[args.command](cfg, out_dir, args)
+        code, pairs, files = _DISPATCH[args.command](cfg, out_dir, args)
+        if pairs is not None:
+            _publish(cfg, args.command, out_dir, pairs, files)
         # a summary that fits the buffer meets a closed pipe only here
         sys.stdout.flush()
         return code

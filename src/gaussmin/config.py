@@ -99,7 +99,6 @@ class RunConfig:
     mc_sigma_sq: float | None = None
     out_dir: str | None = None
     formats: tuple = ("csv",)
-    base_dir: str = "."
     kernel: object = field(default=None, compare=False, repr=False)
 
     def interval(self):
@@ -244,7 +243,7 @@ def load_config(path):
             if not math.isfinite(b - a):
                 raise ConfigError(f"[interval] width b - a overflows, got [{a}, {b}]")
 
-    cfg = RunConfig(kernel_params=params, base_dir=base_dir, **fields)
+    cfg = RunConfig(kernel_params=params, **fields)
     # fail fast on bad kernel parameters or missing files, and keep the kernel
     return replace(cfg, kernel=build_kernel(cfg))
 

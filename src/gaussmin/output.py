@@ -10,14 +10,11 @@ pulling in a plotting stack.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .measures import _atomic_write_text
 
 __all__ = [
-    "ensure_dir",
     "format_value",
     "render_pairs",
     "write_csv",
@@ -114,9 +111,4 @@ def write_svg(path, x, y, title, ylabel=""):
     )
     parts.append("</svg>")
     _atomic_write_text(path, "\n".join(parts) + "\n")
-    return path
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
     return path

@@ -400,7 +400,8 @@ class TestVerify:
         assert float(pairs["sigma_sq"]) == 0.0
         assert pairs["rate"] == "-inf"
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    # an infinite tolerance would certify any measure, even a wrong one
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_nonpositive_tolerance_rejected(self, run_cli, write_ini, tmp_path, tol):
         mu = self._measure_csv(tmp_path, [1.0], [1.0])
         code, out, err = run_cli(
@@ -702,6 +703,68 @@ class TestFigures:
         code, _, err = run_cli("figures", "--config", write_ini("f.ini", FGN_THREE_POINT))
         assert code == 4
         assert "output directory" in err
+
+    @pytest.mark.filterwarnings("error")  # an overflow warning escapes main
+    @pytest.mark.parametrize("hurst", ["0.01", "0.3"])
+    def test_overflowing_curve_exits_five(self, run_cli, write_ini, tmp_path, hurst):
+        # f'' ~ |t|^(2H - 2) overflows on a grid of width 6h = 6e-300
+        out_dir = tmp_path / "figs"
+        body = (
+            f"[kernel]\nkind = fgn\nH = {hurst}\nh = 1e-300\n[interval]\na = 0.0\nb = 1.0\n"
+            "[output]\nformats = csv, svg\n"
+        )
+        code, out, err = run_cli("figures", "--config", write_ini("f.ini", body), "--out", out_dir)
+        assert (code, out) == (5, "")
+        assert err.startswith("numerical failure: increment_function_d2 overflows")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+
+
+OUT_CASES = {
+    "rate": (FGN_THREE_POINT, ["measure.csv", "potential.csv", "rate.txt"]),
+    "solve": (BM_INTERVAL + "[grid]\nn = 21\n", ["measure.csv", "solution.csv", "solve.txt"]),
+    "verify": (FGN_THREE_POINT, ["potential.csv", "verify.txt"]),
+    "assumptions": (BM_INTERVAL, ["assumptions.txt"]),
+    "simulate": (
+        BM_INTERVAL + "[grid]\nn = 10\n[mc]\nu_list = 1.0, 2.0\ntrials = 100\n",
+        ["ldp.csv", "ldp.svg", "simulate.txt"],
+    ),
+    "figures": (
+        FGN_THREE_POINT,
+        ["figures.txt"] + [
+            f"{stem}.{ext}"
+            for stem in ("autocovariance", "increment_function", "increment_function_d1",
+                         "increment_function_d2", "three_point_potential",
+                         "three_point_potential_d1")
+            for ext in ("csv", "svg")
+        ],
+    ),
+}
+
+
+class TestOutputContract:
+    """--out holds <command>.txt, a copy of stdout, and the command's tables."""
+
+    @pytest.mark.parametrize("command", OUT_CASES)
+    def test_out_holds_the_summary_and_tables(self, run_cli, write_ini, tmp_path, command):
+        body, expected = OUT_CASES[command]
+        out_dir = tmp_path / "out"
+        argv = [command, "--config", write_ini("o.ini", body + "[output]\nformats = csv, svg\n")]
+        if command == "verify":
+            (tmp_path / "mu.csv").write_text("location,weight\n1.0,1.0\n")
+            argv += ["--measure", tmp_path / "mu.csv"]
+        code, out, _ = run_cli(*argv, "--out", out_dir)
+        # this Dirac is not the three-point optimum; exit 2 still writes everything
+        assert code == (2 if command == "verify" else 0)
+        assert sorted(os.listdir(out_dir)) == sorted(expected)
+        assert (out_dir / f"{command}.txt").read_bytes() == out.encode()
+
+    def test_rate_without_closed_form_writes_nothing(self, run_cli, write_ini, tmp_path):
+        out_dir = tmp_path / "out"
+        body = "[kernel]\nkind = fgn\nH = 0.75\nh = 1.0\n[interval]\na = 0.0\nb = 1.5\n"
+        code, out, _ = run_cli("rate", "--config", write_ini("r.ini", body), "--out", out_dir)
+        assert (code, out) == (3, "")
+        assert not out_dir.exists()
 
 
 class TestInvocation:
