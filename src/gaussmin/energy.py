@@ -95,9 +95,10 @@ def check_optimality(kernel, mu, grid, tol=1e-8):
 
     The energy is energy()'s, from the one evaluation of phi on the support.
     Runs on one OpenBLAS thread, so phi does not depend on GAUSSMIN_THREADS.
+    tol must be positive and finite: an infinite one would pass any measure.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     on_support, e = _support_energy(kernel, mu)
     support_deviation = float(np.max(np.abs(on_support - e)))
     profile = potential(kernel, mu, grid)

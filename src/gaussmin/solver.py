@@ -26,6 +26,14 @@ on the enlarged support S, dropping nodes by a ratio test until the
 solution is positive.  A round adds every such node that is a local
 minimum of g along the grid, so a minimizer that fills the grid (rough
 kernels) is reached in a few rounds, not one node at a time.
+
+A round does not factor M_SS afresh: it extends a Cholesky factor kept
+from the rounds before by bordering it with the new nodes (Golub &
+Van Loan, "Matrix Computations", 6.5), so adding m nodes to k costs
+O(k^2 m + m^3) instead of O((k + m)^3).  Rounds on small faces or on
+faces without a factor (singular or indefinite ones), and every round
+after one that dropped a node, solve the bordered system by a dense LU
+instead (see _Face).
 """
 
 from __future__ import annotations
@@ -43,8 +51,10 @@ from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
 
-# rows of the equilibrium system copied per step in _equilibrium
+# rows of the equilibrium system copied per step in _kkt
 _KKT_ROWS = 256
+# rows per panel of the Cholesky factor in _Face
+_PANEL = 64
 
 
 class DiscretizedProblem:
@@ -145,7 +155,9 @@ class SolverResult:
     False and the caller decides what to do with the (still feasible)
     weights.
     energy_trace holds the energy at the start and after each round of
-    solve, iterations + 1 floats.
+    solve, iterations + 1 floats.  dense_rounds counts the rounds whose
+    face systems were solved by a dense LU; the others extended the
+    Cholesky factor of the face (see _Face).
     """
 
     weights: np.ndarray
@@ -154,6 +166,7 @@ class SolverResult:
     iterations: int
     converged: bool
     energy_trace: np.ndarray | None = None
+    dense_rounds: int = 0
 
 
 @_threads.one_blas_thread()
@@ -172,19 +185,21 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     single-node round that leaves the weights unchanged ends the loop.
     Each round counts as one iteration and adds one entry to energy_trace.
     M is read through problem.rows only: the start row, then once per
-    round the rows of the face, which give both the equilibrium system
-    and the new gradient g = 2 M w; the certificate of the returned
-    weights is their last gradient.  An atomic minimizer thus reads a few
-    rows of M, never all of it.  It runs with numpy's bundled OpenBLAS on
-    one thread (see _threads.one_blas_thread), so its result does not
-    depend on the GAUSSMIN_THREADS cap.
+    round the rows of the nodes it adds, kept with the face (see _Face)
+    for both the equilibrium system and the new gradient g = 2 M w; the
+    certificate of the returned weights is their last gradient.  An
+    atomic minimizer thus reads a few rows of M, never all of it.  It runs
+    with numpy's bundled OpenBLAS on one thread (see
+    _threads.one_blas_thread), so its result does not depend on the
+    GAUSSMIN_THREADS cap.  tol must be positive and finite.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     start = int(np.argmin(problem.diagonal))
-    row = problem.rows(start)
+    face = _Face(problem.rows, start)
+    row = face.rows[0]
     w = np.zeros(row.size)
     w[start] = 1.0
     # M is symmetric, so its rows serve as columns
@@ -193,6 +208,7 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     trace = [energy]
 
     iterations = 0
+    dense_rounds = 0
     single = False
     converged = False
     while iterations < max_iter:
@@ -203,18 +219,20 @@ def solve(problem, tol=1e-9, max_iter=200_000):
             break
         iterations += 1
         if single:
-            added = [s]
+            added = np.array([s])
         else:
-            local = (g <= np.r_[np.inf, g[:-1]]) & (g <= np.r_[g[1:], np.inf])
-            added = np.flatnonzero(local & (g < lam))
-        face = np.union1d(np.flatnonzero(w), added)
-        face, x, rows = _face_minimum(problem.rows(face), face, w)
+            # local minima of g along the grid, ends included
+            local = g < lam
+            local[1:] &= g[1:] <= g[:-1]
+            local[:-1] &= g[:-1] <= g[1:]
+            added = np.flatnonzero(local)
+        face.add(added[w[added] == 0.0])
+        dense_rounds += face.minimize()
+        x = face.x
         trial = np.zeros_like(w)
-        trial[face] = x
-        g = 2.0 * (x @ rows)
-        # freed before the next round reads its rows
-        del rows
-        trial_energy = 0.5 * float(x @ g[face])
+        trial[face.nodes] = x
+        g = 2.0 * (x @ face.rows)
+        trial_energy = 0.5 * float(x @ g[face.nodes])
         # a single-node round that changes nothing would repeat forever
         stalled = single and np.array_equal(trial, w)
         single = not trial_energy < energy
@@ -236,26 +254,32 @@ def solve(problem, tol=1e-9, max_iter=200_000):
         iterations=iterations,
         converged=converged,
         energy_trace=np.asarray(trace),
+        dense_rounds=dense_rounds,
     )
 
 
-def _face_minimum(rows, face, w):
+def _face_minimum(rows, face, cur):
     """Minimize the energy over the simplex face spanned by the nodes in face.
 
-    rows holds M[face], the covariance rows of the face's nodes, and w is a
-    probability vector supported inside face (nodes just added carry
-    weight 0), the start.  Solves the equilibrium system on the face (see
-    _equilibrium); if some x_i <= 0, it moves from the current weights
-    toward x up to the first weight that reaches zero (a ratio test), drops
-    that node and every other node left at zero with x_i <= 0, and solves
-    again.  Returns the final face, its weights, summing to one (x once it
-    is positive, or the current weights if the system yields non-finite
+    rows holds M[face], the covariance rows of the face's nodes, and cur,
+    the start, probability weights on face (nodes just added carry weight
+    0).  Solves the equilibrium system on the face (see _equilibrium); if
+    some x_i <= 0, it moves from the current weights toward x up to the
+    first weight that reaches zero (a ratio test), drops that node and
+    every other node left at zero with x_i <= 0, and solves again on the
+    system's remaining rows and columns.  Returns the final face, its
+    weights, summing to one and all positive (x once it is positive, or
+    the current weights and their support if the system yields non-finite
     values), and its rows.
     """
-    cur = w[face]
+    kkt = _kkt(rows, face)
+    kept = np.arange(face.size)
     while True:
-        x = _equilibrium(rows, face)
+        x = _equilibrium(kkt)
         if not np.all(np.isfinite(x)):
+            # the face shrinks to the support of the current weights
+            keep = cur > 0.0
+            face, cur, kept = face[keep], cur[keep], kept[keep]
             break
         if np.all(x > 0.0):
             cur = x
@@ -268,15 +292,162 @@ def _face_minimum(rows, face, w):
         cur = cur + ratios[first] * (x - cur)
         cur[blocking[first]] = 0.0
         keep = (x > 0.0) | (cur > 0.0)
-        face, cur, rows = face[keep], cur[keep], rows[keep]
+        face, cur, kept = face[keep], cur[keep], kept[keep]
+        left = np.append(np.flatnonzero(keep), keep.size)
+        kkt = kkt.take(left, axis=0).take(left, axis=1)
+    if kept.size < len(rows):
+        rows = rows[kept]
     return face, cur / cur.sum(), rows
 
 
-def _equilibrium(rows, face):
-    """Solve M_SS x = c 1, sum x = 1 on S = face, given rows = M[face].
+class _Face:
+    """The support of one round: its nodes, their rows of M, their weights
+    x and, while the face systems stay well posed, a Cholesky factor
+    M_SS = L L' that grows with the face.
 
-    Least squares when the system is singular.
+    rows(idx) reads rows of M (DiscretizedProblem.rows), and a face starts
+    as the Dirac at node start.  L is held as row panels of at most _PANEL
+    nodes, (lo, left, inv) with left = L[lo:hi, :lo] and inv the inverse of
+    the diagonal block L[lo:hi, lo:hi], so that L^-1 B and L^-T b take two
+    matrix products per panel; z = L^-1 1.  Adding nodes N borders L
+    (Golub & Van Loan, Matrix Computations, 6.5): W = L^-1 M[S, N] and one
+    Cholesky factor of the Schur complement M_NN - W'W, cut into panels
+    after it is computed.  The explicit inverse of M_SS is never formed:
+    bordering it loses accuracy round after round.  Nodes keep the order
+    they were added in while L exists, and grid order otherwise.
+
+    panels is None when no factor covers the face, and the round is then
+    left to _face_minimum: until a dense round ends on a face of _PANEL
+    nodes or more (a dense LU solves smaller faces faster), when a Schur
+    complement is not numerically positive definite (singular faces,
+    indefinite tables), and for good once a round has dropped a node.
+    Faces that need drops are often near-singular (H = 1/2 noise) and
+    their rounds drop nodes again, so a factor would mostly be built to be
+    thrown away.
     """
+
+    def __init__(self, rows, start):
+        self._read = rows
+        self.nodes = np.array([start])
+        self.rows = rows(self.nodes)
+        self.x = np.ones(1)
+        self.panels = self.z = self._spare = None
+        self.dropped = False
+
+    def add(self, new):
+        """Add the nodes new, none of them on the face, at weight 0."""
+        if not new.size:
+            return
+        k, m = self.nodes.size, new.size
+        rows = self._read(new)
+        if self.panels is None:
+            # grid order, as the dense rounds read it
+            at = np.searchsorted(self.nodes, new) + np.arange(m)
+            old = np.ones(k + m, dtype=bool)
+            old[at] = False
+            self.nodes = _merge(self.nodes, new, old, at)
+            self.rows = _merge(self.rows, rows, old, at)
+            self.x = _merge(self.x, np.zeros(m), old, at)
+            return
+        # rows go into spare rows allocated ahead, since touching freshly
+        # allocated memory each round cost more than the copy
+        if self._spare is None or k + m > len(self._spare):
+            n = rows.shape[1]
+            self._spare = np.empty((min(2 * (k + m), n), n))
+            self._spare[:k] = self.rows
+        self._spare[k : k + m] = rows
+        self.rows = self._spare[: k + m]
+        self.nodes = np.concatenate((self.nodes, new))
+        self.x = np.concatenate((self.x, np.zeros(m)))
+        self._border(k)
+
+    def minimize(self):
+        """Move x to the energy minimizer on the face, dropping nodes as needed.
+
+        Returns True when _face_minimum did it: without a factor, or when
+        the factored solution has some x_i <= 0.  Until some round drops a
+        node, a dense round that ends on a face of _PANEL nodes or more
+        factors it for the next round.
+        """
+        if self.panels is not None:
+            x = self.weights()
+            if np.all(x > 0.0):
+                self.x = x
+                return False
+            self._unfactor()
+        k = self.nodes.size
+        self.nodes, self.x, self.rows = _face_minimum(self.rows, self.nodes, self.x)
+        self.dropped |= self.nodes.size < k
+        if not self.dropped and self.nodes.size >= _PANEL:
+            self.factor()
+        return True
+
+    def factor(self):
+        """Factor M_SS from scratch."""
+        self.panels, self.z = [], np.empty(0)
+        self._border(0)
+
+    def weights(self):
+        """x with M_SS x = c 1 and sum x = 1 on the face, from L."""
+        y = _backward(self.panels, self.z.copy())
+        return y / y.sum()
+
+    def _border(self, k):
+        # L covers the first k nodes; extend it over the rest
+        new, rows = self.nodes[k:], self.rows[k:]
+        # W = L^-1 M[S, N], with M[S, N] = M[N, S]'
+        w = _forward(self.panels, rows[:, self.nodes[:k]].T)
+        try:
+            factor = np.linalg.cholesky(rows[:, new] - w.T @ w)
+        except np.linalg.LinAlgError:
+            self._unfactor()
+            return
+        panels = []
+        for lo in range(0, new.size, _PANEL):
+            hi = min(lo + _PANEL, new.size)
+            left = np.concatenate((w.T[lo:hi], factor[lo:hi, :lo]), axis=1)
+            inv = np.tril(np.linalg.inv(factor[lo:hi, lo:hi]))
+            panels.append((k + lo, left, inv))
+        self.panels = self.panels + panels
+        self.z = _forward(panels, np.concatenate((self.z, np.ones(new.size))))
+
+    def _unfactor(self):
+        # drop L and put the nodes in grid order, as the dense rounds read them
+        order = np.argsort(self.nodes)
+        self.nodes, self.rows, self.x = self.nodes[order], self.rows[order], self.x[order]
+        self.panels = self.z = self._spare = None
+
+
+def _merge(a, b, old, at):
+    """a and b in one array: a where old holds, b at the positions at."""
+    out = np.empty((old.size,) + a.shape[1:], dtype=a.dtype)
+    out[old] = a
+    out[at] = b
+    return out
+
+
+def _forward(panels, y):
+    """Overwrite the rows of y the panels cover by L^-1 y, in panel order.
+
+    The rows before the first panel already hold their solution.
+    """
+    for lo, left, inv in panels:
+        hi = lo + len(inv)
+        y[lo:hi] = inv @ (y[lo:hi] - left @ y[:lo])
+    return y
+
+
+def _backward(panels, y):
+    """Overwrite y by L^-T y, for L given by all its panels."""
+    for lo, left, inv in reversed(panels):
+        hi = lo + len(inv)
+        y[lo:hi] = inv.T @ y[lo:hi]
+        y[:lo] -= left.T @ y[lo:hi]
+    return y
+
+
+def _kkt(rows, face):
+    """The bordered system [[M_SS, 1], [1', 0]] of S = face, given rows = M[face]."""
     k = face.size
     kkt = np.empty((k + 1, k + 1))
     block = kkt[:k, :k]
@@ -286,12 +457,20 @@ def _equilibrium(rows, face):
     kkt[:k, k] = 1.0
     kkt[k] = 1.0
     kkt[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
+    return kkt
+
+
+def _equilibrium(kkt):
+    """Solve M_SS x = c 1, sum x = 1 from its bordered system (see _kkt).
+
+    Least squares when the system is singular.
+    """
+    rhs = np.zeros(len(kkt))
+    rhs[-1] = 1.0
     try:
-        return np.linalg.solve(kkt, rhs)[:k]
+        return np.linalg.solve(kkt, rhs)[:-1]
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
 
 
 def extract_measure(result, grid, prune=1e-4):

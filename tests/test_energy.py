@@ -222,8 +222,9 @@ class TestCheckOptimality:
         assert "potential.csv" in runs[0][2]
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.inf, np.nan])
     def test_tolerance_must_be_positive(self, tol):
+        # an infinite tolerance passed any measure and a nan one failed all
         with pytest.raises(ValueError, match="tolerance"):
             check_optimality(BrownianMotion(), dirac(1.0), Grid(1.0, 2.0, 3), tol=tol)
 
