@@ -62,26 +62,21 @@ _BATCH_DOUBLES = 4_000_000
 _FIRST_BLOCK = 8
 
 
-def factorize(problem, jitter=0.0):
+def factorize(problem):
     """Lower Cholesky factor of the covariance matrix, with jitter escalation.
 
-    Tries the requested diagonal jitter first, then escalates tenfold from
-    1e-12 up to 1e-6 before giving up with FactorizationError.  Returns
+    Tries no diagonal jitter first, then escalates tenfold from 1e-12 up to
+    1e-6 before giving up with FactorizationError.  Returns
     (factor, jitter_used).
     """
     matrix = problem.matrix
     n = matrix.shape[0]
-    jitters = [jitter]
-    j = max(_BASE_JITTER, 10.0 * jitter)
-    while j <= _MAX_JITTER:
-        jitters.append(j)
-        j *= 10.0
-    for j in jitters:
+    jitter = 0.0
+    while jitter <= _MAX_JITTER:
         try:
-            factor = np.linalg.cholesky(matrix + j * np.eye(n))
+            return np.linalg.cholesky(matrix + jitter * np.eye(n)), jitter
         except np.linalg.LinAlgError:
-            continue
-        return factor, j
+            jitter = max(_BASE_JITTER, 10.0 * jitter)
     raise FactorizationError(
         f"covariance matrix is not positive definite even with jitter {_MAX_JITTER}"
     )

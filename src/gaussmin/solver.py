@@ -33,7 +33,8 @@ Van Loan, "Matrix Computations", 6.5), so adding m nodes to k costs
 O(k^2 m + m^3) instead of O((k + m)^3).  Rounds on small faces or on
 faces without a factor (singular or indefinite ones), and every round
 after one that dropped a node, solve the bordered system by a dense LU
-instead (see _Face).
+instead (see _Face).  The face keeps its nodes in the order they were
+added; the LU alone reads them in grid order.
 """
 
 from __future__ import annotations
@@ -63,14 +64,9 @@ class DiscretizedProblem:
     rows(idx) returns M[idx] for an int, an index array or a slice, and
     diagonal is M's diagonal; solve reads nothing else.  matrix, the whole
     n x n array (read-only), is built as rows(slice(None)) on first access.
-    Given a matrix, the problem reads its rows from it.
     """
 
-    def __init__(self, grid, matrix=None, *, rows=None, diagonal=None):
-        if matrix is not None:
-            # cached_property reads the instance dict first
-            self.__dict__["matrix"] = matrix
-            rows, diagonal = matrix.__getitem__, np.diagonal(matrix)
+    def __init__(self, grid, rows, diagonal):
         self.grid = grid
         self.rows = rows
         self.diagonal = diagonal
@@ -263,16 +259,21 @@ def _face_minimum(rows, face, cur):
 
     rows holds M[face], the covariance rows of the face's nodes, and cur,
     the start, probability weights on face (nodes just added carry weight
-    0).  Solves the equilibrium system on the face (see _equilibrium); if
-    some x_i <= 0, it moves from the current weights toward x up to the
-    first weight that reaches zero (a ratio test), drops that node and
-    every other node left at zero with x_i <= 0, and solves again on the
-    system's remaining rows and columns.  Returns the final face, its
-    weights, summing to one and all positive (x once it is positive, or
-    the current weights and their support if the system yields non-finite
-    values), and its rows.
+    0), both in the order of face.  It reads them in grid order through
+    the index order = argsort(face), so the LU's rounding does not depend on
+    the order the nodes were added in.  Solves the equilibrium system on
+    the face (see _equilibrium); if some x_i <= 0, it moves from the
+    current weights toward x up to the first weight that reaches zero (a
+    ratio test), drops that node and every other node left at zero with
+    x_i <= 0, and solves again on the system's remaining rows and
+    columns.  Returns the final face, its weights, summing to one and all
+    positive (x once it is positive, or the current weights and their
+    support if the system yields non-finite values), and its rows, all in
+    grid order.
     """
-    kkt = _kkt(rows, face)
+    order = np.argsort(face)
+    face, cur = face[order], cur[order]
+    kkt = _kkt(rows, face, np.argsort(order))
     kept = np.arange(face.size)
     while True:
         x = _equilibrium(kkt)
@@ -295,9 +296,7 @@ def _face_minimum(rows, face, cur):
         face, cur, kept = face[keep], cur[keep], kept[keep]
         left = np.append(np.flatnonzero(keep), keep.size)
         kkt = kkt.take(left, axis=0).take(left, axis=1)
-    if kept.size < len(rows):
-        rows = rows[kept]
-    return face, cur / cur.sum(), rows
+    return face, cur / cur.sum(), rows[order[kept]]
 
 
 class _Face:
@@ -314,7 +313,7 @@ class _Face:
     Cholesky factor of the Schur complement M_NN - W'W, cut into panels
     after it is computed.  The explicit inverse of M_SS is never formed:
     bordering it loses accuracy round after round.  Nodes keep the order
-    they were added in while L exists, and grid order otherwise.
+    they were added in.
 
     panels is None when no factor covers the face, and the round is then
     left to _face_minimum: until a dense round ends on a face of _PANEL
@@ -335,19 +334,16 @@ class _Face:
         self.dropped = False
 
     def add(self, new):
-        """Add the nodes new, none of them on the face, at weight 0."""
+        """Append the nodes new, none of them on the face, at weight 0."""
         if not new.size:
             return
         k, m = self.nodes.size, new.size
         rows = self._read(new)
+        self.nodes = np.concatenate((self.nodes, new))
+        self.x = np.concatenate((self.x, np.zeros(m)))
         if self.panels is None:
-            # grid order, as the dense rounds read it
-            at = np.searchsorted(self.nodes, new) + np.arange(m)
-            old = np.ones(k + m, dtype=bool)
-            old[at] = False
-            self.nodes = _merge(self.nodes, new, old, at)
-            self.rows = _merge(self.rows, rows, old, at)
-            self.x = _merge(self.x, np.zeros(m), old, at)
+            # exact size: spare rows would raise the dense rounds' peak memory
+            self.rows = np.concatenate((self.rows, rows))
             return
         # rows go into spare rows allocated ahead, since touching freshly
         # allocated memory each round cost more than the copy
@@ -357,8 +353,6 @@ class _Face:
             self._spare[:k] = self.rows
         self._spare[k : k + m] = rows
         self.rows = self._spare[: k + m]
-        self.nodes = np.concatenate((self.nodes, new))
-        self.x = np.concatenate((self.x, np.zeros(m)))
         self._border(k)
 
     def minimize(self):
@@ -412,18 +406,8 @@ class _Face:
         self.z = _forward(panels, np.concatenate((self.z, np.ones(new.size))))
 
     def _unfactor(self):
-        # drop L and put the nodes in grid order, as the dense rounds read them
-        order = np.argsort(self.nodes)
-        self.nodes, self.rows, self.x = self.nodes[order], self.rows[order], self.x[order]
+        # drop L; the spare rows go with it
         self.panels = self.z = self._spare = None
-
-
-def _merge(a, b, old, at):
-    """a and b in one array: a where old holds, b at the positions at."""
-    out = np.empty((old.size,) + a.shape[1:], dtype=a.dtype)
-    out[old] = a
-    out[at] = b
-    return out
 
 
 def _forward(panels, y):
@@ -446,14 +430,15 @@ def _backward(panels, y):
     return y
 
 
-def _kkt(rows, face):
-    """The bordered system [[M_SS, 1], [1', 0]] of S = face, given rows = M[face]."""
+def _kkt(rows, face, rank):
+    """The bordered system [[M_SS, 1], [1', 0]] of S = face, given rows[i] = M[face[rank[i]]]."""
     k = face.size
     kkt = np.empty((k + 1, k + 1))
     block = kkt[:k, :k]
-    # a block of rows at a time, so no k x k temporary sits beside kkt
+    # a block of rows at a time, so no k x k temporary sits beside kkt;
+    # scattering rows to rank took half the time of gathering them in order
     for lo in range(0, k, _KKT_ROWS):
-        block[lo : lo + _KKT_ROWS] = rows[lo : lo + _KKT_ROWS].take(face, axis=1)
+        block[rank[lo : lo + _KKT_ROWS]] = rows[lo : lo + _KKT_ROWS].take(face, axis=1)
     kkt[:k, k] = 1.0
     kkt[k] = 1.0
     kkt[k, k] = 0.0

@@ -69,7 +69,7 @@ def _stream_minima(seed, trials, factor, floor=-np.inf):
 
 def _problem(matrix):
     matrix = np.asarray(matrix, dtype=float)
-    return DiscretizedProblem(grid=None, matrix=matrix)
+    return DiscretizedProblem(None, matrix.__getitem__, np.diagonal(matrix))
 
 
 class TestFactorize:
@@ -89,10 +89,6 @@ class TestFactorize:
         factor, used = factorize(prob)
         assert used <= 1e-10
         np.testing.assert_allclose(factor @ factor.T, prob.matrix, atol=1e-8)
-
-    def test_requested_jitter_tried_first(self):
-        _, used = factorize(_problem(np.eye(3)), jitter=1e-9)
-        assert used == 1e-9
 
     def test_indefinite_matrix_raises(self):
         # eigenvalues 3 and -1: no tiny diagonal shift can rescue it
@@ -523,8 +519,8 @@ factors = []
 real = montecarlo.factorize
 
 
-def record(problem, jitter=0.0):
-    factor, used = real(problem, jitter)
+def record(problem):
+    factor, used = real(problem)
     factors.append(factor)
     return factor, used
 
@@ -586,9 +582,9 @@ class TestBlasThreads:
         seen = []
         real_factorize, real_minima = montecarlo.factorize, montecarlo._block_minima
 
-        def factorize_logged(problem, jitter=0.0):
+        def factorize_logged(problem):
             seen.append(blas())
-            return real_factorize(problem, jitter)
+            return real_factorize(problem)
 
         def minima_logged(*args):
             seen.append(blas())

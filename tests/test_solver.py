@@ -44,7 +44,7 @@ def _problem(matrix):
     grid = Grid(0.0, 1.0, n)
     matrix = 0.5 * (matrix + matrix.T)
     matrix.flags.writeable = False
-    return DiscretizedProblem(grid=grid, matrix=matrix)
+    return DiscretizedProblem(grid, matrix.__getitem__, np.diagonal(matrix))
 
 
 class TestDiscretize:
@@ -268,6 +268,22 @@ class TestRows:
         assert result.converged
         assert "matrix" not in vars(prob)
         assert peak < 0.05 * 8 * n * n
+
+    def test_dense_rounds_peak_memory(self):
+        # every round of H = 1/2 noise is dense and reads the face in grid
+        # order through an index; a grid-ordered copy of the face's rows
+        # made on entry would raise the peak past this bound
+        n = 1601
+        prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, n))
+        tracemalloc.start()
+        try:
+            result = solve(prob, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert result.dense_rounds == result.iterations
+        assert peak < 1.6 * 8 * n * n
 
     def test_hundred_thousand_nodes_solve_without_the_matrix(self):
         # the whole matrix would take 75 GiB
@@ -629,14 +645,37 @@ class TestFactoredFace:
             face.add(block)
             assert face.panels is not None
             x = face.weights()
-            dense = solver._equilibrium(solver._kkt(face.rows, face.nodes))
+            k = face.nodes.size
+            dense = solver._equilibrium(solver._kkt(face.rows, face.nodes, np.arange(k)))
             # the error of either solve is a small multiple of
             # k eps cond(M_SS) |x|
             cond = np.linalg.cond(matrix[np.ix_(face.nodes, face.nodes)])
-            k = face.nodes.size
             tol = 4.0 * k * np.finfo(float).eps * cond * np.max(np.abs(dense))
             np.testing.assert_allclose(x, dense, rtol=0.0, atol=tol)
             assert np.sum(x) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_added_order_does_not_matter(self, seed):
+        # the face keeps its nodes in the order they were added, and the
+        # dense rounds read them in grid order, so sorted blocks added in
+        # shuffled order (solve adds sorted blocks) give the same bits as
+        # the same nodes added at once; fewer than _PANEL nodes, so neither
+        # face is factored
+        prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, 401))
+        rng = np.random.default_rng(seed)
+        picked = rng.choice(np.arange(1, 401), 50, replace=False)
+        shuffled, ordered = solver._Face(prob.rows, 0), solver._Face(prob.rows, 0)
+        for batch in np.split(picked, 2):
+            for block in np.array_split(batch, 3):
+                shuffled.add(np.sort(block))
+            ordered.add(np.sort(batch))
+            assert shuffled.nodes.size < solver._PANEL
+            shuffled.minimize()
+            ordered.minimize()
+            assert shuffled.panels is None and ordered.panels is None
+            assert _same_bits(shuffled.nodes, ordered.nodes)
+            assert _same_bits(shuffled.x, ordered.x)
+            assert _same_bits(shuffled.rows, ordered.rows)
 
     def test_rounds_border_the_factor_until_a_drop(self):
         # H = 0.3 noise fills the grid and never drops a node, so once its
