@@ -35,6 +35,17 @@ faces without a factor (singular or indefinite ones), and every round
 after one that dropped a node, solve the bordered system by a dense LU
 instead (see _Face).  The face keeps its nodes in the order they were
 added; the LU alone reads them in grid order.
+
+Rough stationary kernels (H < 1/2) have minimizers that fill the grid, so
+their rounds grow the face until it is all of M, which is then Toeplitz.
+Once a round ends on a face of _PANEL nodes or more without ever having
+dropped a node, solve tries the whole grid in one step instead (see
+_whole_grid): M x = 1 by conjugate gradients with T. Chan's optimal
+circulant preconditioner ("An optimal circulant preconditioner for
+Toeplitz systems", SIAM J. Sci. Stat. Comput. 9, 1988; Chan & Ng,
+"Conjugate gradient methods for Toeplitz systems", SIAM Review 38, 1996),
+every product an FFT of O(n) vectors.  x / sum(x) is the minimizer when
+all its entries are positive; otherwise the rounds go on.
 """
 
 from __future__ import annotations
@@ -56,20 +67,25 @@ __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract
 _KKT_ROWS = 256
 # rows per panel of the Cholesky factor in _Face
 _PANEL = 64
+# conjugate gradient steps before the whole-grid step gives up
+_CG_STEPS = 100
 
 
 class DiscretizedProblem:
     """Grid plus the covariance matrix M on its nodes, handed out by rows.
 
     rows(idx) returns M[idx] for an int, an index array or a slice, and
-    diagonal is M's diagonal; solve reads nothing else.  matrix, the whole
-    n x n array (read-only), is built as rows(slice(None)) on first access.
+    diagonal is M's diagonal.  lags, when M is Toeplitz, is its first row
+    (M[i, j] = lags[|i - j|]), and None otherwise.  solve reads nothing
+    else.  matrix, the whole n x n array (read-only), is built as
+    rows(slice(None)) on first access.
     """
 
-    def __init__(self, grid, rows, diagonal):
+    def __init__(self, grid, rows, diagonal, lags=None):
         self.grid = grid
         self.rows = rows
         self.diagonal = diagonal
+        self.lags = lags
 
     @cached_property
     def matrix(self):
@@ -94,8 +110,8 @@ def discretize(kernel, grid):
     are asked for, so the rows of any call agree bit for bit and the
     whole matrix is exactly symmetric.  On the uniform grid a function of
     the lag takes n values, so its matrix is a Toeplitz view of one
-    vector.  Stationary kernels keep Gamma(t - t[0]) and read rows of that
-    view.  Fractional Brownian motion with H != 1/2 has
+    vector.  Stationary kernels keep Gamma(t - t[0]), the problem's lags,
+    and read rows of that view.  Fractional Brownian motion with H != 1/2 has
     R(s, t) = (V(s) + V(t) - V(|t - s|)) / 2 with V(x) = x^{2H}; a row is
     V(t_i) + V(t_j), minus the Toeplitz row of V(t - t[0]), times 1/2.
     These are cov's operations with the lag |t_j - t_i| read as
@@ -109,6 +125,7 @@ def discretize(kernel, grid):
     """
     t = grid.nodes
     overflow = f"covariance overflows on the grid over [{t[0]}, {t[-1]}]"
+    lags = None
     if kernel.stationary:
         lags = finite_values(
             lambda: np.asarray(kernel.gamma(t - t[0]), dtype=float), overflow
@@ -139,7 +156,7 @@ def discretize(kernel, grid):
     # solve forms 2 M w, which overflows once a variance passes half the
     # float range
     finite_values(lambda: 2.0 * diagonal, overflow)
-    return DiscretizedProblem(grid, rows=rows, diagonal=diagonal)
+    return DiscretizedProblem(grid, rows=rows, diagonal=diagonal, lags=lags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +170,8 @@ class SolverResult:
     energy_trace holds the energy at the start and after each round of
     solve, iterations + 1 floats.  dense_rounds counts the rounds whose
     face systems were solved by a dense LU; the others extended the
-    Cholesky factor of the face (see _Face).
+    Cholesky factor of the face (see _Face), or took the whole grid in one
+    step (see _whole_grid).
     """
 
     weights: np.ndarray
@@ -180,14 +198,19 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     round near the optimum can raise it at rounding level, and a
     single-node round that leaves the weights unchanged ends the loop.
     Each round counts as one iteration and adds one entry to energy_trace.
-    M is read through problem.rows only: the start row, then once per
-    round the rows of the nodes it adds, kept with the face (see _Face)
-    for both the equilibrium system and the new gradient g = 2 M w; the
+    M is read through problem.rows: the start row, then once per round
+    the rows of the nodes it adds, kept with the face (see _Face) for both
+    the equilibrium system and the new gradient g = 2 M w; the
     certificate of the returned weights is their last gradient.  An
-    atomic minimizer thus reads a few rows of M, never all of it.  It runs
-    with numpy's bundled OpenBLAS on one thread (see
-    _threads.one_blas_thread), so its result does not depend on the
-    GAUSSMIN_THREADS cap.  tol must be positive and finite.
+    atomic minimizer thus reads a few rows of M, never all of it.  When M
+    is Toeplitz (problem.lags), the first round that ends on a face of
+    _PANEL nodes or more, no node ever dropped, is followed by one try of
+    the whole grid (see _whole_grid), which reads lags only.  If its
+    weights are all positive and its gap is at most tol, it is the last
+    round; otherwise it is discarded and the rounds go on.  It runs with
+    numpy's bundled OpenBLAS on one thread (see _threads.one_blas_thread),
+    so its result does not depend on the GAUSSMIN_THREADS cap.  tol must
+    be positive and finite.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -207,6 +230,7 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     dense_rounds = 0
     single = False
     converged = False
+    lags = problem.lags
     while iterations < max_iter:
         lam = float(w @ g)
         s = int(np.argmin(g))
@@ -214,6 +238,14 @@ def solve(problem, tol=1e-9, max_iter=200_000):
             converged = True
             break
         iterations += 1
+        if lags is not None and face.nodes.size >= _PANEL and not face.dropped:
+            # the face may be filling the grid: try the whole grid, once
+            step = _whole_grid(lags, tol)
+            lags = None
+            if step is not None:
+                w, g = step
+                trace.append(0.5 * float(w @ g))
+                break
         if single:
             added = np.array([s])
         else:
@@ -269,7 +301,8 @@ def _face_minimum(rows, face, cur):
     columns.  Returns the final face, its weights, summing to one and all
     positive (x once it is positive, or the current weights and their
     support if the system yields non-finite values), and its rows, all in
-    grid order.
+    grid order.  When face was in grid order and no node dropped, the rows
+    returned are rows itself, not a copy.
     """
     order = np.argsort(face)
     face, cur = face[order], cur[order]
@@ -296,7 +329,12 @@ def _face_minimum(rows, face, cur):
         face, cur, kept = face[keep], cur[keep], kept[keep]
         left = np.append(np.flatnonzero(keep), keep.size)
         kkt = kkt.take(left, axis=0).take(left, axis=1)
-    return face, cur / cur.sum(), rows[order[kept]]
+    # freed before the rows are copied, to keep it out of the peak memory
+    del kkt
+    picked = order[kept]
+    if not np.array_equal(picked, np.arange(len(rows))):
+        rows = rows[picked]
+    return face, cur / cur.sum(), rows
 
 
 class _Face:
@@ -316,8 +354,8 @@ class _Face:
     they were added in.
 
     panels is None when no factor covers the face, and the round is then
-    left to _face_minimum: until a dense round ends on a face of _PANEL
-    nodes or more (a dense LU solves smaller faces faster), when a Schur
+    left to _face_minimum: until nodes are added to a face of _PANEL nodes
+    or more (a dense LU solves smaller faces faster), when a Schur
     complement is not numerically positive definite (singular faces,
     indefinite tables), and for good once a round has dropped a node.
     Faces that need drops are often near-singular (H = 1/2 noise) and
@@ -334,7 +372,13 @@ class _Face:
         self.dropped = False
 
     def add(self, new):
-        """Append the nodes new, none of them on the face, at weight 0."""
+        """Append the nodes new, none of them on the face, at weight 0.
+
+        Until some round drops a node, a face of _PANEL nodes or more
+        without a factor is factored first.
+        """
+        if self.panels is None and not self.dropped and self.nodes.size >= _PANEL:
+            self.factor()
         if not new.size:
             return
         k, m = self.nodes.size, new.size
@@ -359,9 +403,7 @@ class _Face:
         """Move x to the energy minimizer on the face, dropping nodes as needed.
 
         Returns True when _face_minimum did it: without a factor, or when
-        the factored solution has some x_i <= 0.  Until some round drops a
-        node, a dense round that ends on a face of _PANEL nodes or more
-        factors it for the next round.
+        the factored solution has some x_i <= 0.
         """
         if self.panels is not None:
             x = self.weights()
@@ -372,8 +414,6 @@ class _Face:
         k = self.nodes.size
         self.nodes, self.x, self.rows = _face_minimum(self.rows, self.nodes, self.x)
         self.dropped |= self.nodes.size < k
-        if not self.dropped and self.nodes.size >= _PANEL:
-            self.factor()
         return True
 
     def factor(self):
@@ -408,6 +448,79 @@ class _Face:
     def _unfactor(self):
         # drop L; the spare rows go with it
         self.panels = self.z = self._spare = None
+
+
+def _whole_grid(lags, tol):
+    """The energy minimizer on every node of a Toeplitz M, with its gradient.
+
+    Solves M x = 1 (see _pcg); M is the leading block of the circulant of
+    order size, the power of two at least 2n - 1, whose first column is
+    lags, zeros and lags reversed, so M v is one FFT product.  T. Chan's
+    preconditioner is the circulant C of order n nearest to M in the
+    Frobenius norm, c_k = ((n - k) lags[k] + k lags[n - k]) / n.  C^-1 is a
+    circulant too; its first column d comes from one FFT of order n at the
+    start, and C^-1 r, the circular convolution of d and r, is their
+    linear convolution at the same power-of-two order, folded mod n (n is
+    often prime, and an FFT of prime order is several times slower).
+    Returns (w, g) with w = x / sum(x) and g = 2 M w from one more
+    product, or None when CG does not converge, some x_i <= 0, C is not
+    positive definite, or the gap <g, w> - min g exceeds tol.
+    """
+    n = lags.size
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.rfft(np.concatenate((lags, np.zeros(size - 2 * n + 1), lags[:0:-1])))
+
+    def product(v):
+        return np.fft.irfft(spectrum * np.fft.rfft(v, size), size)[:n]
+
+    k = np.arange(n)
+    chan = np.fft.rfft(((n - k) * lags + k * np.r_[0.0, lags[:0:-1]]) / n).real
+    if not np.all(chan > 0.0):
+        return None
+    inverse = np.fft.rfft(np.fft.irfft(1.0 / chan, n), size)
+
+    def precondition(r):
+        both = np.fft.irfft(inverse * np.fft.rfft(r, size), size)
+        both[: n - 1] += both[n : 2 * n - 1]
+        return both[:n]
+
+    x = _pcg(product, precondition, np.ones(n))
+    if x is None or not np.all(x > 0.0):
+        return None
+    w = x / x.sum()
+    g = 2.0 * product(w)
+    if float(w @ g) - float(np.min(g)) > tol:
+        return None
+    return w, g
+
+
+def _pcg(product, precondition, b):
+    """x with M x = b by preconditioned conjugate gradients, or None.
+
+    product(v) is M v and precondition(r) is C^-1 r, both symmetric
+    positive definite.  Stops when the updated residual falls to 8 eps
+    |b|, rounding level; None after _CG_STEPS steps, or once a step finds
+    p' M p not positive.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = z = precondition(r)
+    rz = float(r @ z)
+    stop = 8.0 * np.finfo(float).eps * np.linalg.norm(b)
+    for _ in range(_CG_STEPS):
+        q = product(p)
+        curvature = float(p @ q)
+        if not curvature > 0.0:
+            return None
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) <= stop:
+            return x
+        z = precondition(r)
+        rz, previous = float(r @ z), rz
+        p = z + (rz / previous) * p
+    return None
 
 
 def _forward(panels, y):

@@ -485,9 +485,13 @@ class TestDrawPool:
 
     def test_cli_import_leaves_the_pool_module_unloaded(self):
         # the executor is imported inside the Monte Carlo loop, so commands
-        # that never simulate do not pay for it at start-up
+        # that never simulate do not pay for it at start-up; likewise
+        # numpy.fft, which only the solver's whole-grid step reads
         src = os.path.dirname(os.path.dirname(montecarlo.__file__))
-        code = "import sys, gaussmin.cli; print('concurrent.futures' in sys.modules)"
+        code = (
+            "import sys, gaussmin.cli; "
+            "print('concurrent.futures' in sys.modules, 'numpy.fft' in sys.modules)"
+        )
         res = subprocess.run(
             [sys.executable, "-c", code],
             env={**os.environ, "PYTHONPATH": src},
@@ -496,7 +500,9 @@ class TestDrawPool:
             check=True,
             timeout=120,
         )
-        assert res.stdout.strip() == "False"
+        pool, fft = res.stdout.split()
+        assert pool == "False"
+        assert fft == "False"
 
     def test_closing_early_joins_the_workers(self, monkeypatch, pool_log):
         # the caller is interrupted as it takes the second block: no later

@@ -311,15 +311,24 @@ class TestRows:
         # rounds solved from the Cholesky factor round differently from the
         # dense loop's LU solves, so only the rounds, the support and the
         # energies at rounding level must agree; the bound 8 eps was fixed
-        # before the factored rounds were written
+        # before the factored rounds were written.  H = 0.3 noise fills
+        # the grid and ends early on the whole-grid step, so its rounds
+        # agree up to that one
         prob = discretize(kernel, Grid(a, b, n))
         result = solve(prob, tol=1e-9, max_iter=200_000)
         with _threads.one_blas_thread():
             weights, trace, iterations, energy_ = _dense_solve(prob.matrix, 1e-9, 200_000)
-        assert result.iterations == iterations
+        rounds = result.iterations
+        if kernel.stationary and kernel.base.H < 0.5:
+            assert rounds < iterations
+        else:
+            assert rounds == iterations
         np.testing.assert_array_equal(result.weights > 0.0, weights > 0.0)
         eps = np.finfo(float).eps
-        np.testing.assert_allclose(result.energy_trace, trace, rtol=8.0 * eps, atol=0.0)
+        np.testing.assert_allclose(
+            result.energy_trace[:rounds], trace[:rounds], rtol=8.0 * eps, atol=0.0
+        )
+        np.testing.assert_allclose(result.energy_trace[-1], trace[-1], rtol=8.0 * eps, atol=0.0)
         # the certificate sums the last gradient, not M @ w
         assert abs(result.energy - energy_) <= 8.0 * eps * abs(energy_)
 
@@ -494,6 +503,19 @@ class TestSolve:
         assert np.all(np.isfinite(result.energy_trace))
         assert np.all(np.diff(result.energy_trace) <= 0.0)
         assert result.energy == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_face_rows_kept_when_sorted_and_nothing_drops(self):
+        # a face already in grid order that keeps every node hands back
+        # its rows object, not a copy
+        matrix = np.diag([1.0, 2.0, 3.0])
+        face, x, rows = _face_minimum(matrix, np.arange(3), np.array([1.0, 0.0, 0.0]))
+        assert rows is matrix
+        np.testing.assert_array_equal(face, np.arange(3))
+        np.testing.assert_allclose(x, np.array([6.0, 3.0, 2.0]) / 11.0, rtol=1e-15)
+        # out of grid order, the rows come back sorted in a new array
+        face, x, rows = _face_minimum(matrix[[2, 0, 1]], np.array([2, 0, 1]), np.ones(3) / 3)
+        assert rows is not matrix
+        np.testing.assert_array_equal(rows, matrix)
 
     def test_single_node_fallback_round_converges(self, monkeypatch):
         # H = 1/2 noise at seeded random nodes: near the optimum the KKT
@@ -678,11 +700,12 @@ class TestFactoredFace:
             assert _same_bits(shuffled.rows, ordered.rows)
 
     def test_rounds_border_the_factor_until_a_drop(self):
-        # H = 0.3 noise fills the grid and never drops a node, so once its
-        # face holds a panel of nodes every round borders the factor; the
-        # first round of H = 1/2 noise drops nodes, and every round after
-        # it is dense, as in the loop before the factor
-        rough = solve(discretize(FractionalGaussianNoise(0.3, 1.0), Grid(0.0, 3.0, 401)))
+        # H = 0.3 fBm fills the grid and never drops a node, so once its
+        # face holds a panel of nodes every round borders the factor (its
+        # matrix is not Toeplitz, so no whole-grid step ends the rounds);
+        # the first round of H = 1/2 noise drops nodes, and every round
+        # after it is dense, as in the loop before the factor
+        rough = solve(discretize(FractionalBM(0.3), Grid(1.0, 2.0, 401)))
         assert 0 < rough.dense_rounds < rough.iterations
         half = solve(discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, 401)))
         assert half.dense_rounds == half.iterations
@@ -719,6 +742,109 @@ class TestFactoredFace:
         distinct = np.r_[0:201, 202:n]
         oracle = nnls_min_energy(table[np.ix_(distinct, distinct)])
         assert result.energy == pytest.approx(oracle, rel=1e-12)
+
+
+class TestWholeGrid:
+    @staticmethod
+    def _spy(monkeypatch):
+        # records what each whole-grid step returned
+        steps = []
+        whole_grid = solver._whole_grid
+
+        def recording(lags, tol):
+            steps.append(whole_grid(lags, tol))
+            return steps[-1]
+
+        monkeypatch.setattr(solver, "_whole_grid", recording)
+        return steps
+
+    @pytest.mark.parametrize(
+        "kernel, a, b",
+        [
+            (FractionalGaussianNoise(0.3, 1.0), 0.0, 3.0),
+            (FractionalGaussianNoise(0.4, 1.0), 0.0, 1.0),
+            (IncrementOf(FractionalBM(0.3), 1.0), 0.0, 3.0),
+        ],
+    )
+    def test_matches_the_dense_loop(self, kernel, a, b, monkeypatch):
+        steps = self._spy(monkeypatch)
+        prob = discretize(kernel, Grid(a, b, 401))
+        result = solve(prob, tol=1e-9)
+        with _threads.one_blas_thread():
+            weights, _, _, energy_ = _dense_solve(prob.matrix, 1e-9, 200_000)
+        assert len(steps) == 1 and steps[0] is not None
+        assert _same_bits(result.weights, steps[0][0])
+        assert result.converged
+        assert result.equilibrium_gap <= 1e-9
+        assert np.all(weights > 0.0) and np.all(result.weights > 0.0)
+        eps = np.finfo(float).eps
+        assert abs(result.energy - energy_) <= 8.0 * eps * abs(energy_)
+        assert result.energy_trace[-1] == result.energy
+
+    @pytest.mark.parametrize("n", [401, 1601])
+    def test_gradient_is_the_matrix_product(self, n):
+        prob = discretize(FractionalGaussianNoise(0.3, 1.0), Grid(0.0, 3.0, n))
+        w, g = solver._whole_grid(prob.lags, 1e-9)
+        np.testing.assert_allclose(
+            g, 2.0 * w @ prob.matrix, rtol=0.0, atol=1e-13 * np.max(np.abs(g))
+        )
+
+    @pytest.mark.parametrize(
+        "kernel, a, b, n",
+        [
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0, 401),
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 1.0, 401),
+            (FractionalBM(0.75), 1.0, 2.0, 1601),
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0, 1601),
+            (FractionalGaussianNoise(0.5, 1.0), 0.0, 3.0, 401),
+            (FractionalGaussianNoise(0.9, 1.0), 0.0, 1.5, 401),
+        ],
+    )
+    def test_not_tried_when_the_minimizer_is_atomic_or_drops(self, kernel, a, b, n, monkeypatch):
+        # the H >= 1/2 bench run files end on faces of at most 3 nodes, and
+        # H = 1/2 noise drops nodes in its first round
+        steps = self._spy(monkeypatch)
+        assert solve(discretize(kernel, Grid(a, b, n)), tol=1e-9).converged
+        assert steps == []
+
+    def test_nonpositive_weight_falls_back_to_the_rounds(self, monkeypatch):
+        steps = self._spy(monkeypatch)
+        pcg = solver._pcg
+
+        def negated(*args):
+            x = pcg(*args)
+            x[200] = -x[200]
+            return x
+
+        monkeypatch.setattr(solver, "_pcg", negated)
+        prob = discretize(FractionalGaussianNoise(0.3, 1.0), Grid(0.0, 3.0, 401))
+        result = solve(prob, tol=1e-9)
+        with _threads.one_blas_thread():
+            weights, trace, iterations, energy_ = _dense_solve(prob.matrix, 1e-9, 200_000)
+        assert steps == [None]
+        assert result.converged
+        assert result.iterations == iterations
+        np.testing.assert_array_equal(result.weights > 0.0, weights > 0.0)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(result.energy_trace, trace, rtol=8.0 * eps, atol=0.0)
+        assert abs(result.energy - energy_) <= 8.0 * eps * abs(energy_)
+
+    def test_large_grid_in_linear_memory(self):
+        # the matrix would take 5.2 GB; the rounds before the step hold
+        # the rows of a face of a few hundred nodes at most
+        n = 25_601
+        tracemalloc.start()
+        try:
+            prob = discretize(FractionalGaussianNoise(0.3, 1.0), Grid(0.0, 3.0, n))
+            result = solve(prob, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert result.equilibrium_gap <= 1e-9
+        assert np.all(result.weights > 0.0)
+        assert "matrix" not in vars(prob)
+        assert peak < 1_000 * 8 * n
 
 
 class TestExtractMeasure:
