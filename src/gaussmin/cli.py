@@ -79,8 +79,8 @@ def _interval_pairs(a, b):
 def _measure_pairs(mu):
     return [
         ("atom_count", len(mu)),
-        ("atom_locations", ";".join(repr(float(x)) for x in mu.locations)),
-        ("atom_weights", ";".join(repr(float(w)) for w in mu.weights)),
+        ("atom_locations", ";".join(map(repr, mu.locations.tolist()))),
+        ("atom_weights", ";".join(map(repr, mu.weights.tolist()))),
     ]
 
 

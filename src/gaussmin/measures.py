@@ -111,18 +111,20 @@ class DiscreteMeasure:
 
         span = loc[-1] - loc[0]
         tol = MERGE_REL_TOL * span
-        merged_loc, merged_w = [], []
-        for x, wx in zip(loc, w):
-            if merged_loc and x - merged_loc[-1] <= tol:
-                tot = merged_w[-1] + wx
-                if tot > 0.0:
-                    merged_loc[-1] = (merged_loc[-1] * merged_w[-1] + x * wx) / tot
-                merged_w[-1] = tot
-            else:
-                merged_loc.append(x)
-                merged_w.append(wx)
-        loc = np.array(merged_loc)
-        w = np.array(merged_w)
+        # with no adjacent pair this close the loop would change nothing
+        if np.any(np.diff(loc) <= tol):
+            merged_loc, merged_w = [], []
+            for x, wx in zip(loc, w):
+                if merged_loc and x - merged_loc[-1] <= tol:
+                    tot = merged_w[-1] + wx
+                    if tot > 0.0:
+                        merged_loc[-1] = (merged_loc[-1] * merged_w[-1] + x * wx) / tot
+                    merged_w[-1] = tot
+                else:
+                    merged_loc.append(x)
+                    merged_w.append(wx)
+            loc = np.array(merged_loc)
+            w = np.array(merged_w)
 
         keep = w > PRUNE_TOL
         loc, w = loc[keep], w[keep]
@@ -215,9 +217,8 @@ def _atomic_write_text(path, text):
 
 def save_measure(mu, path):
     """Write location,weight CSV rows with 17 significant digits."""
-    lines = ["location,weight"]
-    for x, w in zip(mu.locations, mu.weights):
-        lines.append(f"{x:.17g},{w:.17g}")
+    rows = zip(mu.locations.tolist(), mu.weights.tolist())
+    lines = ["location,weight"] + [f"{x:.17g},{w:.17g}" for x, w in rows]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

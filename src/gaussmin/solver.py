@@ -37,15 +37,15 @@ instead (see _Face).  The face keeps its nodes in the order they were
 added; the LU alone reads them in grid order.
 
 Rough stationary kernels (H < 1/2) have minimizers that fill the grid, so
-their rounds grow the face until it is all of M, which is then Toeplitz.
-Once a round ends on a face of _PANEL nodes or more without ever having
-dropped a node, solve tries the whole grid in one step instead (see
-_whole_grid): M x = 1 by conjugate gradients with T. Chan's optimal
-circulant preconditioner ("An optimal circulant preconditioner for
-Toeplitz systems", SIAM J. Sci. Stat. Comput. 9, 1988; Chan & Ng,
-"Conjugate gradient methods for Toeplitz systems", SIAM Review 38, 1996),
-every product an FFT of O(n) vectors.  x / sum(x) is the minimizer when
-all its entries are positive; otherwise the rounds go on.
+their rounds would grow the face until it is all of M, which is then
+Toeplitz.  Once a round ends on a face spread across the grid (see
+_spreads) without ever having dropped a node, solve tries the whole grid
+in one step instead (see _whole_grid): M x = 1 by conjugate gradients
+with T. Chan's optimal circulant preconditioner ("An optimal circulant
+preconditioner for Toeplitz systems", SIAM J. Sci. Stat. Comput. 9, 1988;
+Chan & Ng, "Conjugate gradient methods for Toeplitz systems", SIAM Review
+38, 1996), every product an FFT of O(n) vectors.  x / sum(x) is the
+minimizer when all its entries are positive; otherwise the rounds go on.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ _KKT_ROWS = 256
 _PANEL = 64
 # conjugate gradient steps before the whole-grid step gives up
 _CG_STEPS = 100
+# nodes a face needs before it can be seen to spread (see _spreads)
+_SPREAD = 8
 
 
 class DiscretizedProblem:
@@ -203,14 +205,15 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     the equilibrium system and the new gradient g = 2 M w; the
     certificate of the returned weights is their last gradient.  An
     atomic minimizer thus reads a few rows of M, never all of it.  When M
-    is Toeplitz (problem.lags), the first round that ends on a face of
-    _PANEL nodes or more, no node ever dropped, is followed by one try of
-    the whole grid (see _whole_grid), which reads lags only.  If its
-    weights are all positive and its gap is at most tol, it is the last
-    round; otherwise it is discarded and the rounds go on.  It runs with
-    numpy's bundled OpenBLAS on one thread (see _threads.one_blas_thread),
-    so its result does not depend on the GAUSSMIN_THREADS cap.  tol must
-    be positive and finite.
+    is Toeplitz (problem.lags), the first round that ends on a face
+    spread across the grid (see _spreads), no node ever dropped, is
+    followed by one try of the whole grid (see _whole_grid), which reads
+    lags only.  If its weights are all positive and its gap is at most
+    tol, it is the last round; otherwise it is discarded and the rounds
+    go on.  It runs with numpy's bundled OpenBLAS on one thread (see
+    _threads.one_blas_thread), so its result does not depend on the
+    GAUSSMIN_THREADS cap.  tol is an absolute bound on the gap, in the
+    units of M's entries; it must be positive and finite.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -238,8 +241,8 @@ def solve(problem, tol=1e-9, max_iter=200_000):
             converged = True
             break
         iterations += 1
-        if lags is not None and face.nodes.size >= _PANEL and not face.dropped:
-            # the face may be filling the grid: try the whole grid, once
+        if lags is not None and not face.dropped and _spreads(face.nodes, w.size):
+            # the face seems to fill the grid: try the whole grid, once
             step = _whole_grid(lags, tol)
             lags = None
             if step is not None:
@@ -448,6 +451,23 @@ class _Face:
     def _unfactor(self):
         # drop L; the spare rows go with it
         self.panels = self.z = self._spare = None
+
+
+def _spreads(nodes, n):
+    """Whether a face of k nodes seems to fill the grid of n nodes.
+
+    True when k >= _SPREAD and k times the largest gap between consecutive
+    face nodes, in grid steps with both ends of the grid included, is at
+    most 4 (n - 1).  Faces that grow to fill the grid (rough kernels, H <
+    1/2) keep k * gap between about 1.4 and 3.8 n while k <= 33;
+    clustered supports (H > 1/2) pass 5.3 n once k >= 16, and their
+    k * gap grows with k.
+    """
+    k = nodes.size
+    if k < _SPREAD:
+        return False
+    gap = np.diff(np.concatenate(([0], np.sort(nodes), [n - 1]))).max()
+    return k * gap <= 4 * (n - 1)
 
 
 def _whole_grid(lags, tol):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussmin import (
     AssumptionError,
@@ -14,6 +16,7 @@ from gaussmin import (
     GridError,
     IntervalError,
     c_star,
+    cli,
     dirac,
     load_measure,
     save_measure,
@@ -150,6 +153,83 @@ class TestCStar:
 
         with pytest.raises(DegenerateKernelError):
             c_star(Flat(), 1.0)
+
+
+def _per_atom_measure(locations, weights):
+    """DiscreteMeasure's sort, merge, prune and renormalization as it was
+    written before the merge loop was skipped: one atom at a time."""
+    order = np.argsort(locations, kind="stable")
+    loc, w = locations[order], weights[order]
+    tol = 1e-12 * (loc[-1] - loc[0])
+    merged_loc, merged_w = [], []
+    for x, wx in zip(loc, w):
+        if merged_loc and x - merged_loc[-1] <= tol:
+            tot = merged_w[-1] + wx
+            if tot > 0.0:
+                merged_loc[-1] = (merged_loc[-1] * merged_w[-1] + x * wx) / tot
+            merged_w[-1] = tot
+        else:
+            merged_loc.append(x)
+            merged_w.append(wx)
+    loc, w = np.array(merged_loc), np.array(merged_w)
+    keep = w > 1e-12
+    return loc[keep], w[keep] / float(np.sum(w[keep]))
+
+
+def _per_atom_text(mu):
+    """save_measure's text and the CLI's atom strings, formatted one atom at a time."""
+    lines = ["location,weight"]
+    for x, w in zip(mu.locations, mu.weights):
+        lines.append(f"{x:.17g},{w:.17g}")
+    return (
+        "\n".join(lines) + "\n",
+        ";".join(repr(float(x)) for x in mu.locations),
+        ";".join(repr(float(w)) for w in mu.weights),
+    )
+
+
+def _random_weights(size, seed):
+    w = np.random.default_rng(seed).random(size)
+    return w / w.sum()
+
+
+class TestDenseMeasures:
+    # the vectorized paths against the per-atom code they replaced
+
+    @pytest.mark.parametrize(
+        "locations, atoms",
+        [
+            (Grid(0.0, 3.0, 401).nodes[::-1], 401),
+            (np.array([0.0, 0.5, 0.5 + 5e-13, 1.0]), 3),
+        ],
+        ids=["grid-401", "pair-inside-merge-tol"],
+    )
+    def test_constructor_matches_the_per_atom_merge(self, locations, atoms):
+        weights = _random_weights(locations.size, 7)
+        mu = DiscreteMeasure(locations, weights)
+        loc, w = _per_atom_measure(locations, weights)
+        assert len(mu) == loc.size == atoms
+        assert mu.locations.tobytes() == loc.tobytes()
+        assert mu.weights.tobytes() == w.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 401),
+        st.integers(0, 2**32 - 1),
+        st.floats(-1e6, 1e6),
+        st.floats(1e-6, 1e6),
+    )
+    def test_text_matches_the_per_atom_format(self, tmp_path_factory, size, seed, a, width):
+        nodes = np.linspace(a, a + width, size) if size > 1 else np.array([a])
+        mu = DiscreteMeasure(nodes, _random_weights(size, seed))
+        path = tmp_path_factory.mktemp("measure") / "m.csv"
+        save_measure(mu, str(path))
+        text, locations, weights = _per_atom_text(mu)
+        with open(path, newline="") as handle:
+            assert handle.read() == text
+        pairs = dict(cli._measure_pairs(mu))
+        assert pairs["atom_locations"] == locations
+        assert pairs["atom_weights"] == weights
 
 
 class TestMeasureIO:
