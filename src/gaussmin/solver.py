@@ -25,27 +25,22 @@ below lam = <g, w> and solves the equilibrium system
 on the enlarged support S, dropping nodes by a ratio test until the
 solution is positive.  A round adds every such node that is a local
 minimum of g along the grid, so a minimizer that fills the grid (rough
-kernels) is reached in a few rounds, not one node at a time.
+kernels) is reached in a few rounds, not one node at a time.  Each round
+solves the bordered system of its face by a dense LU (see _face_minimum).
 
-A round does not factor M_SS afresh: it extends a Cholesky factor kept
-from the rounds before by bordering it with the new nodes (Golub &
-Van Loan, "Matrix Computations", 6.5), so adding m nodes to k costs
-O(k^2 m + m^3) instead of O((k + m)^3).  Rounds on small faces or on
-faces without a factor (singular or indefinite ones), and every round
-after one that dropped a node, solve the bordered system by a dense LU
-instead (see _Face).  The face keeps its nodes in the order they were
-added; the LU alone reads them in grid order.
-
-Rough stationary kernels (H < 1/2) have minimizers that fill the grid, so
-their rounds would grow the face until it is all of M, which is then
-Toeplitz.  Once a round ends on a face spread across the grid (see
-_spreads) without ever having dropped a node, solve tries the whole grid
-in one step instead (see _whole_grid): M x = 1 by conjugate gradients
-with T. Chan's optimal circulant preconditioner ("An optimal circulant
-preconditioner for Toeplitz systems", SIAM J. Sci. Stat. Comput. 9, 1988;
-Chan & Ng, "Conjugate gradient methods for Toeplitz systems", SIAM Review
-38, 1996), every product an FFT of O(n) vectors.  x / sum(x) is the
-minimizer when all its entries are positive; otherwise the rounds go on.
+Rough kernels (H < 1/2) have minimizers that fill the grid, so their
+rounds would grow the face until it is all of M.  For stationary kernels
+and for fBm, M is a Toeplitz matrix T plus the rank-two term
+(u 1' + 1 u') / 2, with u = 0 for stationary kernels (see
+DiscretizedProblem).  Once a round ends on a face spread across the grid
+(see _spreads) without ever having dropped a node, solve tries the whole
+grid in one step instead (see _whole_grid): M x = 1 by conjugate
+gradients with T. Chan's optimal circulant preconditioner ("An optimal
+circulant preconditioner for Toeplitz systems", SIAM J. Sci. Stat.
+Comput. 9, 1988; Chan & Ng, "Conjugate gradient methods for Toeplitz
+systems", SIAM Review 38, 1996), every product an FFT of O(n) vectors.
+x / sum(x) is the minimizer when all its entries are positive; otherwise
+the rounds go on.
 """
 
 from __future__ import annotations
@@ -65,8 +60,6 @@ __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract
 
 # rows of the equilibrium system copied per step in _kkt
 _KKT_ROWS = 256
-# rows per panel of the Cholesky factor in _Face
-_PANEL = 64
 # conjugate gradient steps before the whole-grid step gives up
 _CG_STEPS = 100
 # nodes a face needs before it can be seen to spread (see _spreads)
@@ -77,10 +70,12 @@ class DiscretizedProblem:
     """Grid plus the covariance matrix M on its nodes, handed out by rows.
 
     rows(idx) returns M[idx] for an int, an index array or a slice, and
-    diagonal is M's diagonal.  lags, when M is Toeplitz, is its first row
-    (M[i, j] = lags[|i - j|]), and None otherwise.  solve reads nothing
-    else.  matrix, the whole n x n array (read-only), is built as
-    rows(slice(None)) on first access.
+    diagonal is M's diagonal.  lags, when M is a Toeplitz matrix plus a
+    rank-two term, is the Toeplitz first row, M[i, j] = lags[|i - j|] +
+    (u_i + u_j) / 2 with u = diagonal - lags[0] (u = 0 when M is
+    Toeplitz), and None otherwise.  solve reads nothing else.  matrix,
+    the whole n x n array (read-only), is built as rows(slice(None)) on
+    first access.
     """
 
     def __init__(self, grid, rows, diagonal, lags=None):
@@ -118,6 +113,7 @@ def discretize(kernel, grid):
     V(t_i) + V(t_j), minus the Toeplitz row of V(t - t[0]), times 1/2.
     These are cov's operations with the lag |t_j - t_i| read as
     t_{|i - j|} - t[0], so an entry differs from cov's by rounding only.
+    Its lags are -V(t - t[0]) / 2, and u = V(t) (see DiscretizedProblem).
     Other kernels (Brownian motion, whose min(s, t) is exact, and
     Tabulated, whose stored table is exactly symmetric) keep the nodes and
     call cov(t[idx][..., None], t).  A node below 0 raises DomainError for
@@ -140,7 +136,9 @@ def discretize(kernel, grid):
         diagonal = np.broadcast_to(lags[0], t.shape)
     elif isinstance(kernel, FractionalBM) and kernel.H != 0.5:
         v = finite_values(lambda: kernel.variance(t), overflow)
-        toeplitz = _toeplitz(finite_values(lambda: kernel.variance(t - t[0]), overflow))
+        lag_variance = finite_values(lambda: kernel.variance(t - t[0]), overflow)
+        toeplitz = _toeplitz(lag_variance)
+        lags = -0.5 * lag_variance
 
         def rows(idx):
             block = np.add.outer(v[idx], v)
@@ -170,10 +168,7 @@ class SolverResult:
     False and the caller decides what to do with the (still feasible)
     weights.
     energy_trace holds the energy at the start and after each round of
-    solve, iterations + 1 floats.  dense_rounds counts the rounds whose
-    face systems were solved by a dense LU; the others extended the
-    Cholesky factor of the face (see _Face), or took the whole grid in one
-    step (see _whole_grid).
+    solve, iterations + 1 floats.
     """
 
     weights: np.ndarray
@@ -182,7 +177,6 @@ class SolverResult:
     iterations: int
     converged: bool
     energy_trace: np.ndarray | None = None
-    dense_rounds: int = 0
 
 
 @_threads.one_blas_thread()
@@ -201,17 +195,17 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     single-node round that leaves the weights unchanged ends the loop.
     Each round counts as one iteration and adds one entry to energy_trace.
     M is read through problem.rows: the start row, then once per round
-    the rows of the nodes it adds, kept with the face (see _Face) for both
-    the equilibrium system and the new gradient g = 2 M w; the
+    the rows of the nodes it adds, kept with the face's nodes and weights
+    for both the equilibrium system and the new gradient g = 2 M w; the
     certificate of the returned weights is their last gradient.  An
-    atomic minimizer thus reads a few rows of M, never all of it.  When M
-    is Toeplitz (problem.lags), the first round that ends on a face
-    spread across the grid (see _spreads), no node ever dropped, is
-    followed by one try of the whole grid (see _whole_grid), which reads
-    lags only.  If its weights are all positive and its gap is at most
-    tol, it is the last round; otherwise it is discarded and the rounds
-    go on.  It runs with numpy's bundled OpenBLAS on one thread (see
-    _threads.one_blas_thread), so its result does not depend on the
+    atomic minimizer thus reads a few rows of M, never all of it.  When
+    problem.lags is set, the first round that ends on a face spread
+    across the grid (see _spreads), no node ever dropped, is followed by
+    one try of the whole grid (see _whole_grid), which reads lags and
+    diagonal only.  If its weights are all positive and its gap is at
+    most tol, it is the last round; otherwise it is discarded and the
+    rounds go on.  It runs with numpy's bundled OpenBLAS on one thread
+    (see _threads.one_blas_thread), so its result does not depend on the
     GAUSSMIN_THREADS cap.  tol is an absolute bound on the gap, in the
     units of M's entries; it must be positive and finite.
     """
@@ -220,20 +214,23 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     start = int(np.argmin(problem.diagonal))
-    face = _Face(problem.rows, start)
-    row = face.rows[0]
-    w = np.zeros(row.size)
+    # the face: its nodes in the order they were added, their rows of M
+    # and their weights x
+    nodes = np.array([start])
+    rows = problem.rows(nodes)
+    x = np.ones(1)
+    dropped = False
+    w = np.zeros(rows.shape[1])
     w[start] = 1.0
     # M is symmetric, so its rows serve as columns
-    g = 2.0 * row
-    energy = float(row[start])
+    g = 2.0 * rows[0]
+    energy = float(rows[0, start])
     trace = [energy]
 
     iterations = 0
-    dense_rounds = 0
     single = False
     converged = False
-    lags = problem.lags
+    whole = problem.lags is not None
     while iterations < max_iter:
         lam = float(w @ g)
         s = int(np.argmin(g))
@@ -241,10 +238,10 @@ def solve(problem, tol=1e-9, max_iter=200_000):
             converged = True
             break
         iterations += 1
-        if lags is not None and not face.dropped and _spreads(face.nodes, w.size):
+        if whole and not dropped and _spreads(nodes, w.size):
             # the face seems to fill the grid: try the whole grid, once
-            step = _whole_grid(lags, tol)
-            lags = None
+            step = _whole_grid(problem, tol)
+            whole = False
             if step is not None:
                 w, g = step
                 trace.append(0.5 * float(w @ g))
@@ -257,13 +254,20 @@ def solve(problem, tol=1e-9, max_iter=200_000):
             local[1:] &= g[1:] <= g[:-1]
             local[:-1] &= g[:-1] <= g[1:]
             added = np.flatnonzero(local)
-        face.add(added[w[added] == 0.0])
-        dense_rounds += face.minimize()
-        x = face.x
+        new = added[w[added] == 0.0]
+        if new.size:
+            nodes = np.concatenate((nodes, new))
+            x = np.concatenate((x, np.zeros(new.size)))
+            # a statement of its own, so the old block is freed before
+            # _face_minimum builds its system
+            rows = np.concatenate((rows, problem.rows(new)))
+        k = nodes.size
+        nodes, x, rows = _face_minimum(rows, nodes, x)
+        dropped |= nodes.size < k
         trial = np.zeros_like(w)
-        trial[face.nodes] = x
-        g = 2.0 * (x @ face.rows)
-        trial_energy = 0.5 * float(x @ g[face.nodes])
+        trial[nodes] = x
+        g = 2.0 * (x @ rows)
+        trial_energy = 0.5 * float(x @ g[nodes])
         # a single-node round that changes nothing would repeat forever
         stalled = single and np.array_equal(trial, w)
         single = not trial_energy < energy
@@ -285,7 +289,6 @@ def solve(problem, tol=1e-9, max_iter=200_000):
         iterations=iterations,
         converged=converged,
         energy_trace=np.asarray(trace),
-        dense_rounds=dense_rounds,
     )
 
 
@@ -340,128 +343,15 @@ def _face_minimum(rows, face, cur):
     return face, cur / cur.sum(), rows
 
 
-class _Face:
-    """The support of one round: its nodes, their rows of M, their weights
-    x and, while the face systems stay well posed, a Cholesky factor
-    M_SS = L L' that grows with the face.
-
-    rows(idx) reads rows of M (DiscretizedProblem.rows), and a face starts
-    as the Dirac at node start.  L is held as row panels of at most _PANEL
-    nodes, (lo, left, inv) with left = L[lo:hi, :lo] and inv the inverse of
-    the diagonal block L[lo:hi, lo:hi], so that L^-1 B and L^-T b take two
-    matrix products per panel; z = L^-1 1.  Adding nodes N borders L
-    (Golub & Van Loan, Matrix Computations, 6.5): W = L^-1 M[S, N] and one
-    Cholesky factor of the Schur complement M_NN - W'W, cut into panels
-    after it is computed.  The explicit inverse of M_SS is never formed:
-    bordering it loses accuracy round after round.  Nodes keep the order
-    they were added in.
-
-    panels is None when no factor covers the face, and the round is then
-    left to _face_minimum: until nodes are added to a face of _PANEL nodes
-    or more (a dense LU solves smaller faces faster), when a Schur
-    complement is not numerically positive definite (singular faces,
-    indefinite tables), and for good once a round has dropped a node.
-    Faces that need drops are often near-singular (H = 1/2 noise) and
-    their rounds drop nodes again, so a factor would mostly be built to be
-    thrown away.
-    """
-
-    def __init__(self, rows, start):
-        self._read = rows
-        self.nodes = np.array([start])
-        self.rows = rows(self.nodes)
-        self.x = np.ones(1)
-        self.panels = self.z = self._spare = None
-        self.dropped = False
-
-    def add(self, new):
-        """Append the nodes new, none of them on the face, at weight 0.
-
-        Until some round drops a node, a face of _PANEL nodes or more
-        without a factor is factored first.
-        """
-        if self.panels is None and not self.dropped and self.nodes.size >= _PANEL:
-            self.factor()
-        if not new.size:
-            return
-        k, m = self.nodes.size, new.size
-        rows = self._read(new)
-        self.nodes = np.concatenate((self.nodes, new))
-        self.x = np.concatenate((self.x, np.zeros(m)))
-        if self.panels is None:
-            # exact size: spare rows would raise the dense rounds' peak memory
-            self.rows = np.concatenate((self.rows, rows))
-            return
-        # rows go into spare rows allocated ahead, since touching freshly
-        # allocated memory each round cost more than the copy
-        if self._spare is None or k + m > len(self._spare):
-            n = rows.shape[1]
-            self._spare = np.empty((min(2 * (k + m), n), n))
-            self._spare[:k] = self.rows
-        self._spare[k : k + m] = rows
-        self.rows = self._spare[: k + m]
-        self._border(k)
-
-    def minimize(self):
-        """Move x to the energy minimizer on the face, dropping nodes as needed.
-
-        Returns True when _face_minimum did it: without a factor, or when
-        the factored solution has some x_i <= 0.
-        """
-        if self.panels is not None:
-            x = self.weights()
-            if np.all(x > 0.0):
-                self.x = x
-                return False
-            self._unfactor()
-        k = self.nodes.size
-        self.nodes, self.x, self.rows = _face_minimum(self.rows, self.nodes, self.x)
-        self.dropped |= self.nodes.size < k
-        return True
-
-    def factor(self):
-        """Factor M_SS from scratch."""
-        self.panels, self.z = [], np.empty(0)
-        self._border(0)
-
-    def weights(self):
-        """x with M_SS x = c 1 and sum x = 1 on the face, from L."""
-        y = _backward(self.panels, self.z.copy())
-        return y / y.sum()
-
-    def _border(self, k):
-        # L covers the first k nodes; extend it over the rest
-        new, rows = self.nodes[k:], self.rows[k:]
-        # W = L^-1 M[S, N], with M[S, N] = M[N, S]'
-        w = _forward(self.panels, rows[:, self.nodes[:k]].T)
-        try:
-            factor = np.linalg.cholesky(rows[:, new] - w.T @ w)
-        except np.linalg.LinAlgError:
-            self._unfactor()
-            return
-        panels = []
-        for lo in range(0, new.size, _PANEL):
-            hi = min(lo + _PANEL, new.size)
-            left = np.concatenate((w.T[lo:hi], factor[lo:hi, :lo]), axis=1)
-            inv = np.tril(np.linalg.inv(factor[lo:hi, lo:hi]))
-            panels.append((k + lo, left, inv))
-        self.panels = self.panels + panels
-        self.z = _forward(panels, np.concatenate((self.z, np.ones(new.size))))
-
-    def _unfactor(self):
-        # drop L; the spare rows go with it
-        self.panels = self.z = self._spare = None
-
-
 def _spreads(nodes, n):
     """Whether a face of k nodes seems to fill the grid of n nodes.
 
     True when k >= _SPREAD and k times the largest gap between consecutive
     face nodes, in grid steps with both ends of the grid included, is at
     most 4 (n - 1).  Faces that grow to fill the grid (rough kernels, H <
-    1/2) keep k * gap between about 1.4 and 3.8 n while k <= 33;
-    clustered supports (H > 1/2) pass 5.3 n once k >= 16, and their
-    k * gap grows with k.
+    1/2) keep k * gap between about 1.4 and 3.8 n while k <= 33 for fGn,
+    and at 1.7 to 2.7 n when the step comes for fBm; clustered supports
+    (H > 1/2) pass 5.3 n once k >= 16, and their k * gap grows with k.
     """
     k = nodes.size
     if k < _SPREAD:
@@ -470,31 +360,43 @@ def _spreads(nodes, n):
     return k * gap <= 4 * (n - 1)
 
 
-def _whole_grid(lags, tol):
-    """The energy minimizer on every node of a Toeplitz M, with its gradient.
+def _whole_grid(problem, tol):
+    """The energy minimizer on every node, with its gradient, when lags is set.
 
-    Solves M x = 1 (see _pcg); M is the leading block of the circulant of
-    order size, the power of two at least 2n - 1, whose first column is
-    lags, zeros and lags reversed, so M v is one FFT product.  T. Chan's
+    M = T + (u 1' + 1 u') / 2, with T the Toeplitz matrix of lags and
+    u = diagonal - lags[0] (see DiscretizedProblem).  Solves M x = 1 (see
+    _pcg): M is a covariance matrix, so it is positive definite although T
+    alone need not be (fBm's T has a zero diagonal).  T is the leading
+    block of the circulant of order size, the power of two at least
+    2n - 1, whose first column is lags, zeros and lags reversed, so M v is
+    one FFT product plus (u sum(v) + (u'v) 1) / 2.  T. Chan's
     preconditioner is the circulant C of order n nearest to M in the
-    Frobenius norm, c_k = ((n - k) lags[k] + k lags[n - k]) / n.  C^-1 is a
-    circulant too; its first column d comes from one FFT of order n at the
-    start, and C^-1 r, the circular convolution of d and r, is their
-    linear convolution at the same power-of-two order, folded mod n (n is
-    often prime, and an FFT of prime order is several times slower).
-    Returns (w, g) with w = x / sum(x) and g = 2 M w from one more
-    product, or None when CG does not converge, some x_i <= 0, C is not
-    positive definite, or the gap <g, w> - min g exceeds tol.
+    Frobenius norm: c_k = ((n - k) lags[k] + k lags[n - k]) / n from T,
+    plus sum(u) / n for every k from the rank-two term, which adds sum(u)
+    to C's eigenvalue at frequency 0.  C^-1 is a circulant too; its first
+    column d comes from one FFT of order n at the start, and C^-1 r, the
+    circular convolution of d and r, is their linear convolution at the
+    same power-of-two order, folded mod n (n is often prime, and an FFT of
+    prime order is several times slower).  For stationary kernels u is 0
+    and every step is that of T alone.  Returns (w, g) with
+    w = x / sum(x) and g = 2 M w from one more product, or None when CG
+    does not converge, some x_i <= 0, C is not positive definite, or the
+    gap <g, w> - min g exceeds tol.
     """
+    lags = problem.lags
+    u = problem.diagonal - lags[0]
     n = lags.size
     size = 1 << (2 * n - 2).bit_length()
     spectrum = np.fft.rfft(np.concatenate((lags, np.zeros(size - 2 * n + 1), lags[:0:-1])))
 
     def product(v):
-        return np.fft.irfft(spectrum * np.fft.rfft(v, size), size)[:n]
+        out = np.fft.irfft(spectrum * np.fft.rfft(v, size), size)[:n]
+        out += 0.5 * (u * v.sum() + u @ v)
+        return out
 
     k = np.arange(n)
     chan = np.fft.rfft(((n - k) * lags + k * np.r_[0.0, lags[:0:-1]]) / n).real
+    chan[0] += u.sum()
     if not np.all(chan > 0.0):
         return None
     inverse = np.fft.rfft(np.fft.irfft(1.0 / chan, n), size)
@@ -541,26 +443,6 @@ def _pcg(product, precondition, b):
         rz, previous = float(r @ z), rz
         p = z + (rz / previous) * p
     return None
-
-
-def _forward(panels, y):
-    """Overwrite the rows of y the panels cover by L^-1 y, in panel order.
-
-    The rows before the first panel already hold their solution.
-    """
-    for lo, left, inv in panels:
-        hi = lo + len(inv)
-        y[lo:hi] = inv @ (y[lo:hi] - left @ y[:lo])
-    return y
-
-
-def _backward(panels, y):
-    """Overwrite y by L^-T y, for L given by all its panels."""
-    for lo, left, inv in reversed(panels):
-        hi = lo + len(inv)
-        y[lo:hi] = inv.T @ y[lo:hi]
-        y[:lo] -= left.T @ y[lo:hi]
-    return y
 
 
 def _kkt(rows, face, rank):

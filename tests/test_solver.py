@@ -32,6 +32,7 @@ from gaussmin import (
     three_point,
 )
 from gaussmin import _threads, solver
+from gaussmin.kernels import Kernel
 from gaussmin.solver import _face_minimum
 from oracles import nnls_min_energy
 
@@ -249,6 +250,20 @@ class TestRows:
             assert _same_bits(block, matrix[idx]), idx
         assert _same_bits(prob.diagonal, np.diagonal(matrix))
         assert prob.matrix is matrix
+        # where lags is set, M[i, j] = lags[|i - j|] + (u_i + u_j) / 2 with
+        # u = diagonal - lags[0]: exactly for stationary kernels, whose u is
+        # 0, and up to rounding for fBm, whose rows subtract before halving
+        if kind in ("bm", "tabulated"):
+            assert prob.lags is None
+            return
+        u = prob.diagonal - prob.lags[0]
+        i = np.arange(n)
+        built = prob.lags[np.abs(i[:, None] - i[None, :])] + np.add.outer(u, u) / 2
+        if kind == "fbm":
+            atol = 4.0 * np.finfo(float).eps * np.max(np.abs(matrix))
+            np.testing.assert_allclose(built, matrix, rtol=0.0, atol=atol)
+        else:
+            assert _same_bits(built, matrix)
 
     @pytest.mark.parametrize(
         "kernel, a, b",
@@ -270,7 +285,8 @@ class TestRows:
         assert peak < 0.05 * 8 * n * n
 
     def test_dense_rounds_peak_memory(self):
-        # every round of H = 1/2 noise is dense and reads the face in grid
+        # H = 1/2 noise drops nodes from its first round on, so every round
+        # solves its face system by a dense LU, which reads the face in grid
         # order through an index; a grid-ordered copy of the face's rows
         # made on entry would raise the peak past this bound
         n = 1601
@@ -282,7 +298,6 @@ class TestRows:
         finally:
             tracemalloc.stop()
         assert result.converged
-        assert result.dense_rounds == result.iterations
         assert peak < 1.6 * 8 * n * n
 
     def test_hundred_thousand_nodes_solve_without_the_matrix(self):
@@ -308,18 +323,18 @@ class TestRows:
         ],
     )
     def test_same_rounds_as_the_dense_loop(self, kernel, a, b, n):
-        # rounds solved from the Cholesky factor round differently from the
-        # dense loop's LU solves, so only the rounds, the support and the
-        # energies at rounding level must agree; the bound 8 eps was fixed
-        # before the factored rounds were written.  H = 0.3 noise fills
-        # the grid and ends early on the whole-grid step, so its rounds
-        # agree up to that one
+        # the rounds, the support and the energies at rounding level must
+        # agree; the bound 8 eps was fixed before factored rounds were
+        # written.  Rough kernels (H = 0.3 noise and fBm) fill the grid and
+        # end early on the whole-grid step, so their rounds agree up to
+        # that one
         prob = discretize(kernel, Grid(a, b, n))
         result = solve(prob, tol=1e-9, max_iter=200_000)
         with _threads.one_blas_thread():
             weights, trace, iterations, energy_ = _dense_solve(prob.matrix, 1e-9, 200_000)
         rounds = result.iterations
-        if kernel.stationary and kernel.base.H < 0.5:
+        hurst = kernel.base.H if kernel.stationary else kernel.H
+        if hurst < 0.5:
             assert rounds < iterations
         else:
             assert rounds == iterations
@@ -517,23 +532,26 @@ class TestSolve:
         assert rows is not matrix
         np.testing.assert_array_equal(rows, matrix)
 
-    def test_single_node_fallback_round_converges(self, monkeypatch):
+    def test_single_node_fallback_round_converges(self):
         # H = 1/2 noise at seeded random nodes: near the optimum the KKT
         # systems are ill-conditioned, a batch round fails to lower the
         # energy at rounding level, and a single-node round must follow
-        added = []
-        add = solver._Face.add
-
-        # every round adds its new nodes to the face once
-        def recording(face, new):
-            added.append(new.size)
-            return add(face, new)
-
-        monkeypatch.setattr(solver._Face, "add", recording)
         kernel = FractionalGaussianNoise(0.5, 1.0)
         t = np.sort(np.random.default_rng(0).uniform(0.0, 1.5, 100))
         matrix = kernel.cov(t[:, None], t[None, :])
-        result = solve(_problem(matrix), tol=1e-12, max_iter=100)
+        problem = _problem(matrix)
+        read = problem.rows
+        added = []
+
+        # solve reads the start row, then the rows each round adds, once
+        def recording(idx):
+            added.append(np.size(idx))
+            return read(idx)
+
+        problem.rows = recording
+        result = solve(problem, tol=1e-12, max_iter=100)
+        start, *added = added
+        assert start == 1 and len(added) == result.iterations
         # round r + 1 did not lower the energy, so round r + 2 is a fallback
         not_lowered = np.flatnonzero(np.diff(result.energy_trace) >= 0.0)
         fallbacks = not_lowered[not_lowered + 1 < result.iterations] + 1
@@ -644,115 +662,72 @@ class TestAgainstNnls:
 
 
 class TestFactoredFace:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(2, 300),
-        seed=st.integers(0, 2**32 - 1),
-        ridge=st.sampled_from([1e-2, 1.0]),
-        data=st.data(),
-    )
-    def test_weights_match_the_dense_solve(self, n, seed, ridge, data):
-        # a random positive definite face, grown from one node in blocks,
-        # some wider than a panel; each block borders the factor
-        rng = np.random.default_rng(seed)
-        rank = data.draw(st.integers(1, n))
-        features = rng.standard_normal((n, rank))
-        matrix = features @ features.T / rank + ridge * np.eye(n)
-        matrix = 0.5 * (matrix + matrix.T)
-        order = rng.permutation(n)
-        cuts = data.draw(st.lists(st.integers(1, n - 1), max_size=5, unique=True))
-        face = solver._Face(matrix.__getitem__, int(order[0]))
-        face.factor()
-        for block in np.split(order[1:], np.sort(cuts) - 1):
-            face.add(block)
-            assert face.panels is not None
-            x = face.weights()
-            k = face.nodes.size
-            dense = solver._equilibrium(solver._kkt(face.rows, face.nodes, np.arange(k)))
-            # the error of either solve is a small multiple of
-            # k eps cond(M_SS) |x|
-            cond = np.linalg.cond(matrix[np.ix_(face.nodes, face.nodes)])
-            tol = 4.0 * k * np.finfo(float).eps * cond * np.max(np.abs(dense))
-            np.testing.assert_allclose(x, dense, rtol=0.0, atol=tol)
-            assert np.sum(x) == pytest.approx(1.0, abs=1e-13)
+    # each round's face system is LU-factored afresh by _face_minimum
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_added_order_does_not_matter(self, seed):
-        # the face keeps its nodes in the order they were added, and the
-        # dense rounds read them in grid order, so sorted blocks added in
-        # shuffled order (solve adds sorted blocks) give the same bits as
-        # the same nodes added at once; fewer than _PANEL nodes, so neither
-        # face is factored
+        # solve keeps the face in the order its nodes were added, and
+        # _face_minimum reads it in grid order, so two rounds on a face
+        # grown in shuffled order give the same bits as on the same face
+        # kept in grid order
         prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, 401))
         rng = np.random.default_rng(seed)
         picked = rng.choice(np.arange(1, 401), 50, replace=False)
-        shuffled, ordered = solver._Face(prob.rows, 0), solver._Face(prob.rows, 0)
+        nodes, x, rows = np.array([0]), np.ones(1), prob.rows(np.array([0]))
         for batch in np.split(picked, 2):
-            for block in np.array_split(batch, 3):
-                shuffled.add(np.sort(block))
-            ordered.add(np.sort(batch))
-            assert shuffled.nodes.size < solver._PANEL
-            shuffled.minimize()
-            ordered.minimize()
-            assert shuffled.panels is None and ordered.panels is None
-            assert _same_bits(shuffled.nodes, ordered.nodes)
-            assert _same_bits(shuffled.x, ordered.x)
-            assert _same_bits(shuffled.rows, ordered.rows)
+            nodes = np.r_[nodes, batch]
+            x = np.r_[x, np.zeros(batch.size)]
+            rows = np.concatenate((rows, prob.rows(batch)))
+            order = np.argsort(nodes)
+            assert not np.array_equal(order, np.arange(nodes.size))
+            shuffled = _face_minimum(rows, nodes, x)
+            ordered = _face_minimum(rows[order], nodes[order], x[order])
+            for got, want in zip(shuffled, ordered):
+                assert _same_bits(got, want)
+            nodes, x, rows = shuffled
 
-    def test_rounds_border_the_factor_until_a_drop(self):
-        # H = 0.3 fBm fills the grid and never drops a node, so once its
-        # face holds a panel of nodes every round borders the factor (its
-        # matrix is not Toeplitz, so no whole-grid step ends the rounds);
-        # the first round of H = 1/2 noise drops nodes, and every round
-        # after it is dense, as in the loop before the factor
-        rough = solve(discretize(FractionalBM(0.3), Grid(1.0, 2.0, 401)))
-        assert 0 < rough.dense_rounds < rough.iterations
-        half = solve(discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, 401)))
-        assert half.dense_rounds == half.iterations
-
-    def test_rank_deficient_table_takes_the_dense_fallback(self, monkeypatch):
+    def test_rank_deficient_table_takes_the_dense_fallback(self):
         # node 201 repeats node 200 of a rough fBm table, its variance
         # lowered by 1e-13: rank deficient up to rounding (Tabulated accepts
-        # it), and a face holding both nodes is indefinite, so it has no
-        # Cholesky factor and _face_minimum solves its round
+        # it), so a face holding both nodes is singular up to rounding
         n = 401
         t = np.linspace(1.0, 2.0, n)
         src = np.r_[0:201, 200, 202:n]
         table = FractionalBM(0.3).cov(t[src][:, None], t[src][None, :])
         table[201, 201] -= 1e-13
-        prob = discretize(Tabulated(t, table), Grid(1.0, 2.0, n))
-        face = solver._Face(prob.rows, 200)
-        face.factor()
-        assert face.panels is not None
-        face.add(np.array([201]))
-        assert face.panels is None
-
-        # some factored face of the solve falls back to the dense rounds
-        fell_back = []
-        unfactor = solver._Face._unfactor
-
-        def recording(face):
-            fell_back.append(face.panels is not None)
-            return unfactor(face)
-
-        monkeypatch.setattr(solver._Face, "_unfactor", recording)
-        result = solve(prob, tol=1e-12, max_iter=100)
-        assert any(fell_back)
+        result = solve(discretize(Tabulated(t, table), Grid(1.0, 2.0, n)), tol=1e-12, max_iter=100)
         assert result.converged
         distinct = np.r_[0:201, 202:n]
         oracle = nnls_min_energy(table[np.ix_(distinct, distinct)])
         assert result.energy == pytest.approx(oracle, rel=1e-12)
 
 
+class _OrnsteinUhlenbeck(Kernel):
+    """Gamma(tau) = exp(-|tau|).  On an interval of length L the minimizer
+    is (delta_a + delta_b + Lebesgue on [a, b]) / (2 + L), whose potential
+    is the constant 2 / (2 + L), so sigma*^2 = 2 / (2 + L)."""
+
+    stationary = True
+
+    def gamma(self, tau):
+        return np.exp(-np.abs(np.asarray(tau, dtype=float)))
+
+    def cov(self, s, t):
+        return self.gamma(np.subtract(t, s, dtype=float))
+
+
 class TestWholeGrid:
+    # a Toeplitz M (noise) and a Toeplitz matrix plus a rank-two term (fBm)
+    ROUGH = ((FractionalGaussianNoise(0.3, 1.0), 0.0, 3.0), (FractionalBM(0.3), 1.0, 2.0))
+
     @staticmethod
     def _spy(monkeypatch):
         # records what each whole-grid step returned
         steps = []
         whole_grid = solver._whole_grid
 
-        def recording(lags, tol):
-            steps.append(whole_grid(lags, tol))
+        def recording(problem, tol):
+            steps.append(whole_grid(problem, tol))
             return steps[-1]
 
         monkeypatch.setattr(solver, "_whole_grid", recording)
@@ -764,6 +739,8 @@ class TestWholeGrid:
             (FractionalGaussianNoise(0.3, 1.0), 0.0, 3.0),
             (FractionalGaussianNoise(0.4, 1.0), 0.0, 1.0),
             (IncrementOf(FractionalBM(0.3), 1.0), 0.0, 3.0),
+            (FractionalBM(0.3), 1.0, 2.0),
+            (FractionalBM(0.45), 1.0, 3.0),
         ],
     )
     def test_matches_the_dense_loop(self, kernel, a, b, monkeypatch):
@@ -783,11 +760,12 @@ class TestWholeGrid:
 
     @pytest.mark.parametrize("n", [401, 1601])
     def test_gradient_is_the_matrix_product(self, n):
-        prob = discretize(FractionalGaussianNoise(0.3, 1.0), Grid(0.0, 3.0, n))
-        w, g = solver._whole_grid(prob.lags, 1e-9)
-        np.testing.assert_allclose(
-            g, 2.0 * w @ prob.matrix, rtol=0.0, atol=1e-13 * np.max(np.abs(g))
-        )
+        for kernel, a, b in self.ROUGH:
+            prob = discretize(kernel, Grid(a, b, n))
+            w, g = solver._whole_grid(prob, 1e-9)
+            np.testing.assert_allclose(
+                g, 2.0 * w @ prob.matrix, rtol=0.0, atol=1e-13 * np.max(np.abs(g))
+            )
 
     @pytest.mark.parametrize(
         "kernel, a, b, n",
@@ -814,18 +792,30 @@ class TestWholeGrid:
         assert steps == []
 
     @pytest.mark.parametrize("n", [401, 1601])
-    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (0.0, 1.0), (0.0, 0.5)])
-    @pytest.mark.parametrize("H", [0.3, 0.4, 0.45])
-    def test_grid_filling_faces_reach_the_step_early(self, H, a, b, n, monkeypatch):
+    @pytest.mark.parametrize(
+        "kernel, a, b",
+        [
+            pytest.param(FractionalGaussianNoise(H, 1.0), 0.0, b, id=f"{H}-0.0-{b}")
+            for H in (0.3, 0.4, 0.45)
+            for b in (3.0, 1.0, 0.5)
+        ]
+        + [
+            pytest.param(FractionalBM(H), a, b, id=f"fbm-{H}-{a}-{b}")
+            for H in (0.2, 0.3, 0.45)
+            for a, b in ((1.0, 2.0), (0.5, 4.0))
+        ],
+    )
+    def test_grid_filling_faces_reach_the_step_early(self, kernel, a, b, n, monkeypatch):
         # the face spreads across the grid by its 8th or 9th node, so the
-        # step comes after a few rounds, not after a face of _PANEL nodes
+        # step comes after a few rounds, not after a face of 64 nodes; for
+        # fBm its size times largest gap was 1.66 to 2.66 (n - 1) then
         steps = self._spy(monkeypatch)
-        prob = discretize(FractionalGaussianNoise(H, 1.0), Grid(a, b, n))
+        prob = discretize(kernel, Grid(a, b, n))
         result = solve(prob, tol=1e-9)
         assert len(steps) == 1 and steps[0] is not None
         assert result.converged
         assert result.iterations <= 5
-        assert _same_bits(result.weights, solver._whole_grid(prob.lags, 1e-9)[0])
+        assert _same_bits(result.weights, solver._whole_grid(prob, 1e-9)[0])
 
     def test_nonpositive_weight_falls_back_to_the_rounds(self, monkeypatch):
         steps = self._spy(monkeypatch)
@@ -849,22 +839,41 @@ class TestWholeGrid:
         np.testing.assert_allclose(result.energy_trace, trace, rtol=8.0 * eps, atol=0.0)
         assert abs(result.energy - energy_) <= 8.0 * eps * abs(energy_)
 
+    @pytest.mark.parametrize("L", [1.0, 3.0])
+    def test_exponential_kernel_reaches_its_closed_form(self, L, monkeypatch):
+        # a minimizer with a density: the grid's energy lies above
+        # 2 / (2 + L) and its excess falls like 1 / n^2 (16x from n = 101
+        # to 401 when measured)
+        steps = self._spy(monkeypatch)
+        exact = 2.0 / (2.0 + L)
+        excess = []
+        for n in (101, 401):
+            steps.clear()
+            result = solve(discretize(_OrnsteinUhlenbeck(), Grid(0.0, L, n)), tol=1e-9)
+            assert len(steps) == 1 and steps[0] is not None
+            assert result.converged
+            assert np.all(result.weights > 0.0)
+            assert result.energy >= exact * (1.0 - 8.0 * np.finfo(float).eps)
+            excess.append(result.energy - exact)
+        assert excess[1] * 10.0 <= excess[0]
+
     def test_large_grid_in_linear_memory(self):
         # the matrix would take 5.2 GB; the rounds before the step hold
         # the rows of a face of a few dozen nodes at most
         n = 25_601
-        tracemalloc.start()
-        try:
-            prob = discretize(FractionalGaussianNoise(0.3, 1.0), Grid(0.0, 3.0, n))
-            result = solve(prob, tol=1e-9)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.converged
-        assert result.equilibrium_gap <= 1e-9
-        assert np.all(result.weights > 0.0)
-        assert "matrix" not in vars(prob)
-        assert peak < 100 * 8 * n
+        for kernel, a, b in self.ROUGH:
+            tracemalloc.start()
+            try:
+                prob = discretize(kernel, Grid(a, b, n))
+                result = solve(prob, tol=1e-9)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.converged
+            assert result.equilibrium_gap <= 1e-9
+            assert np.all(result.weights > 0.0)
+            assert "matrix" not in vars(prob)
+            assert peak < 100 * 8 * n
 
 
 class TestExtractMeasure:
