@@ -80,6 +80,9 @@ class RunConfig:
 
     `kernel` is the kernel built from `kernel_kind` and `kernel_params`;
     load_config sets it, so commands never build (or read a table) twice.
+    kernel_params holds a table's path as the run file gives it, so the
+    printed kernel does not depend on where the run file sits; a relative
+    one is opened from `base_dir`, the run file's directory.
     """
 
     kernel_kind: str
@@ -99,6 +102,7 @@ class RunConfig:
     mc_sigma_sq: float | None = None
     out_dir: str | None = None
     formats: tuple = ("csv",)
+    base_dir: str = ""
     kernel: object = field(default=None, compare=False, repr=False)
 
     def interval(self):
@@ -173,7 +177,7 @@ _KEYS = {
         "H": (None, _REAL),
         "h": (None, _REAL),
         "base": (None, lambda name, raw, base_dir: raw.strip().lower()),
-        "path": (None, _path),
+        "path": (None, lambda name, raw, base_dir: raw.strip()),
     },
     "interval": {"a": ("a", _REAL), "b": ("b", _REAL)},
     "grid": {"n": ("n", _number(int, "be at least 2", lambda v: v >= 2))},
@@ -243,7 +247,7 @@ def load_config(path):
             if not math.isfinite(b - a):
                 raise ConfigError(f"[interval] width b - a overflows, got [{a}, {b}]")
 
-    cfg = RunConfig(kernel_params=params, **fields)
+    cfg = RunConfig(kernel_params=params, base_dir=base_dir, **fields)
     # fail fast on bad kernel parameters or missing files, and keep the kernel
     return replace(cfg, kernel=build_kernel(cfg))
 
@@ -267,7 +271,8 @@ def build_kernel(cfg):
             if cfg.a is None:
                 raise ConfigError("tabulated kernels need an [interval] section")
             nodes = Grid(cfg.a, cfg.b, cfg.n).nodes
-            return Tabulated(nodes, load_tabulated_matrix(params["path"], cfg.n))
+            path = os.path.join(cfg.base_dir, params["path"])
+            return Tabulated(nodes, load_tabulated_matrix(path, cfg.n))
         # bm is fBm with H = 1/2; fgn and increment are lag-h increments of fBm
         base = FractionalBM(params.get("H", 0.5))
         return IncrementOf(base, params["h"]) if "h" in params else base

@@ -32,14 +32,6 @@ __all__ = [
 ]
 
 
-def _potential_at(kernel, mu, points):
-    points = np.asarray(points, dtype=float)
-    return finite_values(
-        lambda: mu.weights @ kernel.cov(mu.locations[:, None], points[None, :]),
-        "potential of the measure overflows",
-    )
-
-
 def _support_energy(kernel, mu):
     """phi on the atoms, w @ C, and the energy (w @ C) @ w; a non-finite phi
     makes the energy non-finite, so either overflow reports the energy."""
@@ -64,7 +56,10 @@ class PotentialProfile:
 
 def potential(kernel, mu, grid):
     """phi(t) = sum_j w_j R(x_j, t) on the grid nodes."""
-    values = _potential_at(kernel, mu, grid.nodes)
+    values = finite_values(
+        lambda: mu.weights @ kernel.cov(mu.locations[:, None], grid.nodes[None, :]),
+        "potential of the measure overflows",
+    )
     values.flags.writeable = False
     return PotentialProfile(grid, values)
 

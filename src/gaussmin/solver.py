@@ -195,27 +195,27 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     single-node round that leaves the weights unchanged ends the loop.
     Each round counts as one iteration and adds one entry to energy_trace.
     M is read through problem.rows: the start row, then once per round
-    the rows of the nodes it adds, kept with the face's nodes and weights
-    for both the equilibrium system and the new gradient g = 2 M w; the
-    certificate of the returned weights is their last gradient.  An
-    atomic minimizer thus reads a few rows of M, never all of it.  When
-    problem.lags is set, the first round that ends on a face spread
-    across the grid (see _spreads), no node ever dropped, is followed by
-    one try of the whole grid (see _whole_grid), which reads lags and
-    diagonal only.  If its weights are all positive and its gap is at
-    most tol, it is the last round; otherwise it is discarded and the
-    rounds go on.  It runs with numpy's bundled OpenBLAS on one thread
-    (see _threads.one_blas_thread), so its result does not depend on the
-    GAUSSMIN_THREADS cap.  tol is an absolute bound on the gap, in the
-    units of M's entries; it must be positive and finite.
+    the rows of the nodes it adds, inserted at their grid positions among
+    the face's nodes, rows and weights, which serve both the equilibrium
+    system and the new gradient g = 2 M w; the certificate of the returned
+    weights is their last gradient.  An atomic minimizer thus reads a few
+    rows of M, never all of it.  When problem.lags is set, the first round
+    that ends on a face spread across the grid (see _spreads), no node
+    ever dropped, is followed by one try of the whole grid (see
+    _whole_grid), which reads lags and diagonal only.  If its weights are
+    all positive and its gap is at most tol, it is the last round;
+    otherwise it is discarded and the rounds go on.  It runs with numpy's
+    bundled OpenBLAS on one thread (see _threads.one_blas_thread), so its
+    result does not depend on the GAUSSMIN_THREADS cap.  tol is an
+    absolute bound on the gap, in the units of M's entries; it must be
+    positive and finite.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     start = int(np.argmin(problem.diagonal))
-    # the face: its nodes in the order they were added, their rows of M
-    # and their weights x
+    # the face: its nodes in grid order, their rows of M and their weights x
     nodes = np.array([start])
     rows = problem.rows(nodes)
     x = np.ones(1)
@@ -256,11 +256,12 @@ def solve(problem, tol=1e-9, max_iter=200_000):
             added = np.flatnonzero(local)
         new = added[w[added] == 0.0]
         if new.size:
-            nodes = np.concatenate((nodes, new))
-            x = np.concatenate((x, np.zeros(new.size)))
+            at = np.searchsorted(nodes, new)
+            nodes = np.insert(nodes, at, new)
+            x = np.insert(x, at, 0.0)
             # a statement of its own, so the old block is freed before
             # _face_minimum builds its system
-            rows = np.concatenate((rows, problem.rows(new)))
+            rows = np.insert(rows, at, problem.rows(new), axis=0)
         k = nodes.size
         nodes, x, rows = _face_minimum(rows, nodes, x)
         dropped |= nodes.size < k
@@ -295,24 +296,20 @@ def solve(problem, tol=1e-9, max_iter=200_000):
 def _face_minimum(rows, face, cur):
     """Minimize the energy over the simplex face spanned by the nodes in face.
 
-    rows holds M[face], the covariance rows of the face's nodes, and cur,
-    the start, probability weights on face (nodes just added carry weight
-    0), both in the order of face.  It reads them in grid order through
-    the index order = argsort(face), so the LU's rounding does not depend on
-    the order the nodes were added in.  Solves the equilibrium system on
-    the face (see _equilibrium); if some x_i <= 0, it moves from the
-    current weights toward x up to the first weight that reaches zero (a
-    ratio test), drops that node and every other node left at zero with
-    x_i <= 0, and solves again on the system's remaining rows and
-    columns.  Returns the final face, its weights, summing to one and all
-    positive (x once it is positive, or the current weights and their
-    support if the system yields non-finite values), and its rows, all in
-    grid order.  When face was in grid order and no node dropped, the rows
-    returned are rows itself, not a copy.
+    face is strictly increasing (grid order); rows holds M[face], the
+    covariance rows of its nodes, and cur, the start, probability weights
+    on face (nodes just added carry weight 0), both in the order of face.
+    Solves the equilibrium system on the face (see _equilibrium); if some
+    x_i <= 0, it moves from the current weights toward x up to the first
+    weight that reaches zero (a ratio test), drops that node and every
+    other node left at zero with x_i <= 0, and solves again on the
+    system's remaining rows and columns.  Returns the final face, its
+    weights, summing to one and all positive (x once it is positive, or
+    the current weights and their support if the system yields non-finite
+    values), and its rows, all in grid order.  When no node dropped, the
+    rows returned are rows itself, not a copy.
     """
-    order = np.argsort(face)
-    face, cur = face[order], cur[order]
-    kkt = _kkt(rows, face, np.argsort(order))
+    kkt = _kkt(rows, face)
     kept = np.arange(face.size)
     while True:
         x = _equilibrium(kkt)
@@ -337,26 +334,26 @@ def _face_minimum(rows, face, cur):
         kkt = kkt.take(left, axis=0).take(left, axis=1)
     # freed before the rows are copied, to keep it out of the peak memory
     del kkt
-    picked = order[kept]
-    if not np.array_equal(picked, np.arange(len(rows))):
-        rows = rows[picked]
+    if kept.size < len(rows):
+        rows = rows[kept]
     return face, cur / cur.sum(), rows
 
 
 def _spreads(nodes, n):
     """Whether a face of k nodes seems to fill the grid of n nodes.
 
-    True when k >= _SPREAD and k times the largest gap between consecutive
-    face nodes, in grid steps with both ends of the grid included, is at
-    most 4 (n - 1).  Faces that grow to fill the grid (rough kernels, H <
-    1/2) keep k * gap between about 1.4 and 3.8 n while k <= 33 for fGn,
-    and at 1.7 to 2.7 n when the step comes for fBm; clustered supports
-    (H > 1/2) pass 5.3 n once k >= 16, and their k * gap grows with k.
+    nodes is in grid order.  True when k >= _SPREAD and k times the
+    largest gap between consecutive face nodes, in grid steps with both
+    ends of the grid included, is at most 4 (n - 1).  Faces that grow to
+    fill the grid (rough kernels, H < 1/2) keep k * gap between about 1.4
+    and 3.8 n while k <= 33 for fGn, and at 1.7 to 2.7 n when the step
+    comes for fBm; clustered supports (H > 1/2) pass 5.3 n once k >= 16,
+    and their k * gap grows with k.
     """
     k = nodes.size
     if k < _SPREAD:
         return False
-    gap = np.diff(np.concatenate(([0], np.sort(nodes), [n - 1]))).max()
+    gap = np.diff(np.concatenate(([0], nodes, [n - 1]))).max()
     return k * gap <= 4 * (n - 1)
 
 
@@ -445,15 +442,14 @@ def _pcg(product, precondition, b):
     return None
 
 
-def _kkt(rows, face, rank):
-    """The bordered system [[M_SS, 1], [1', 0]] of S = face, given rows[i] = M[face[rank[i]]]."""
+def _kkt(rows, face):
+    """The bordered system [[M_SS, 1], [1', 0]] of S = face, given rows = M[face]."""
     k = face.size
     kkt = np.empty((k + 1, k + 1))
     block = kkt[:k, :k]
-    # a block of rows at a time, so no k x k temporary sits beside kkt;
-    # scattering rows to rank took half the time of gathering them in order
+    # a block of rows at a time, so no k x k temporary sits beside kkt
     for lo in range(0, k, _KKT_ROWS):
-        block[rank[lo : lo + _KKT_ROWS]] = rows[lo : lo + _KKT_ROWS].take(face, axis=1)
+        block[lo : lo + _KKT_ROWS] = rows[lo : lo + _KKT_ROWS].take(face, axis=1)
     kkt[:k, k] = 1.0
     kkt[k] = 1.0
     kkt[k, k] = 0.0

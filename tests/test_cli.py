@@ -87,13 +87,13 @@ class TestRate:
         # the equilibrium check's grid potential is the one potential.csv holds
         grids = []
         module = importlib.import_module("gaussmin.energy")
-        real = module._potential_at
+        real = module.potential
 
-        def counted(kernel, mu, points):
-            grids.append(len(points))
-            return real(kernel, mu, points)
+        def counted(kernel, mu, grid):
+            grids.append(len(grid.nodes))
+            return real(kernel, mu, grid)
 
-        monkeypatch.setattr(module, "_potential_at", counted)
+        monkeypatch.setattr(module, "potential", counted)
         body = FGN_THREE_POINT + "[grid]\nn = 301\n"
         out_dir = tmp_path / "out"
         code, _, _ = run_cli("rate", "--config", write_ini("r.ini", body), "--out", out_dir)
@@ -879,3 +879,36 @@ class TestInvocation:
             a = (dirs[0] / name).read_bytes()
             b = (dirs[1] / name).read_bytes()
             assert a == b, name
+
+    def test_outputs_do_not_depend_on_where_the_run_sits(self, run_cli, tmp_path, monkeypatch):
+        # one run directory, a run file beside its table's folder, copied to
+        # two places: stdout and every --out file must not name either place
+        t = np.linspace(1.0, 2.0, 21)
+        table = np.minimum.outer(t, t).tolist()
+        rows = [f"{i},{j},{table[i][j]!r}" for i in range(21) for j in range(21)]
+        body = (
+            "[kernel]\nkind = tabulated\npath = ../tab/t.csv\n"
+            "[interval]\na = 1.0\nb = 2.0\n[grid]\nn = 21\n"
+        )
+        runs = []
+        for place in (tmp_path / "first", tmp_path / "elsewhere" / "second"):
+            (place / "cfg").mkdir(parents=True)
+            (place / "tab").mkdir()
+            (place / "tab" / "t.csv").write_text("\n".join(["i,j,value", *rows]) + "\n")
+            (place / "cfg" / "run.ini").write_text(body)
+            monkeypatch.chdir(place)
+            solved = run_cli("solve", "--config", "cfg/run.ini", "--out", "solve")
+            verified = run_cli(
+                "verify", "--config", "cfg/run.ini", "--measure", "solve/measure.csv",
+                "--out", "verify",
+            )
+            assert solved[0] == verified[0] == 0
+            runs.append((place, solved[1], verified[1]))
+        (first, *outs), (second, *others) = runs
+        assert outs == others
+        assert "../tab/t.csv" in outs[0]
+        for name in ("solve", "verify"):
+            files = sorted(os.listdir(first / name))
+            assert files == sorted(os.listdir(second / name)) and files, name
+            for file in files:
+                assert (first / name / file).read_bytes() == (second / name / file).read_bytes(), file

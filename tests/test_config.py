@@ -494,7 +494,12 @@ class TestTabulated:
         cfg_path = sub / "run.ini"
         cfg_path.write_text(body)
         cfg = load_config(str(cfg_path))
-        assert cfg.kernel_params["path"] == str(sub / "m.csv")
+        # kept as written, so the printed kernel does not name the run
+        # file's directory; the table is opened from that directory
+        assert cfg.kernel_params["path"] == "m.csv"
+        assert cfg.base_dir == str(sub)
+        nodes = cfg.kernel.nodes
+        np.testing.assert_array_equal(cfg.kernel.cov(nodes[:, None], nodes), np.eye(2))
 
 
 class TestTabulatedRows:

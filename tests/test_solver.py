@@ -286,9 +286,9 @@ class TestRows:
 
     def test_dense_rounds_peak_memory(self):
         # H = 1/2 noise drops nodes from its first round on, so every round
-        # solves its face system by a dense LU, which reads the face in grid
-        # order through an index; a grid-ordered copy of the face's rows
-        # made on entry would raise the peak past this bound
+        # solves its face system by a dense LU; the face's rows are kept in
+        # grid order, and a second copy of them made on entry would raise
+        # the peak past this bound
         n = 1601
         prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, n))
         tracemalloc.start()
@@ -527,10 +527,6 @@ class TestSolve:
         assert rows is matrix
         np.testing.assert_array_equal(face, np.arange(3))
         np.testing.assert_allclose(x, np.array([6.0, 3.0, 2.0]) / 11.0, rtol=1e-15)
-        # out of grid order, the rows come back sorted in a new array
-        face, x, rows = _face_minimum(matrix[[2, 0, 1]], np.array([2, 0, 1]), np.ones(3) / 3)
-        assert rows is not matrix
-        np.testing.assert_array_equal(rows, matrix)
 
     def test_single_node_fallback_round_converges(self):
         # H = 1/2 noise at seeded random nodes: near the optimum the KKT
@@ -666,25 +662,57 @@ class TestFactoredFace:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_added_order_does_not_matter(self, seed):
-        # solve keeps the face in the order its nodes were added, and
-        # _face_minimum reads it in grid order, so two rounds on a face
-        # grown in shuffled order give the same bits as on the same face
-        # kept in grid order
+        # solve inserts each round's new nodes at their grid positions, so
+        # two rounds on a face grown from nodes picked in shuffled order
+        # give the same bits as on the same face with its rows read at once
         prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, 401))
         rng = np.random.default_rng(seed)
         picked = rng.choice(np.arange(1, 401), 50, replace=False)
         nodes, x, rows = np.array([0]), np.ones(1), prob.rows(np.array([0]))
+        inside = False
         for batch in np.split(picked, 2):
-            nodes = np.r_[nodes, batch]
-            x = np.r_[x, np.zeros(batch.size)]
-            rows = np.concatenate((rows, prob.rows(batch)))
-            order = np.argsort(nodes)
-            assert not np.array_equal(order, np.arange(nodes.size))
-            shuffled = _face_minimum(rows, nodes, x)
-            ordered = _face_minimum(rows[order], nodes[order], x[order])
-            for got, want in zip(shuffled, ordered):
+            new = np.sort(batch)
+            at = np.searchsorted(nodes, new)
+            inside |= bool(np.any(at < nodes.size))
+            nodes = np.insert(nodes, at, new)
+            x = np.insert(x, at, 0.0)
+            rows = np.insert(rows, at, prob.rows(new), axis=0)
+            assert np.all(np.diff(nodes) > 0)
+            grown = _face_minimum(rows, nodes, x)
+            read = _face_minimum(prob.rows(nodes), nodes, x)
+            for got, want in zip(grown, read):
                 assert _same_bits(got, want)
-            nodes, x, rows = shuffled
+            nodes, x, rows = grown
+        # some node went in between nodes already on the face
+        assert inside
+
+    def test_face_stays_in_grid_order(self, monkeypatch):
+        # solve inserts each round's new nodes at their grid positions, so
+        # every face _face_minimum sees is strictly increasing and its rows
+        # are the problem's rows in that order
+        n = 401
+        t = np.linspace(1.0, 2.0, n)
+        table = Tabulated(t, FractionalBM(0.3).cov(t[:, None], t[None, :]))
+        cases = [
+            (FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, n)),
+            (FractionalGaussianNoise(0.75, 1.0), Grid(0.0, 1.75, n)),
+            (table, Grid(1.0, 2.0, n)),
+        ]
+        face_minimum = solver._face_minimum
+        for kernel, grid in cases:
+            prob = discretize(kernel, grid)
+            rounds = []
+
+            def checking(rows, face, cur):
+                rounds.append(face.size)
+                assert np.all(np.diff(face) > 0)
+                assert _same_bits(rows, prob.rows(face))
+                return face_minimum(rows, face, cur)
+
+            monkeypatch.setattr(solver, "_face_minimum", checking)
+            result = solve(prob, tol=1e-9)
+            assert result.converged
+            assert len(rounds) == result.iterations >= 2
 
     def test_rank_deficient_table_takes_the_dense_fallback(self):
         # node 201 repeats node 200 of a rough fBm table, its variance
