@@ -7,7 +7,10 @@ log-probability log p / u^2 drift toward the theoretical rate
 
 Paths are X = z @ factor.T for the lower Cholesky factor of the grid
 covariance, so a path's first coordinates need only its first normals.
-Normals come in fixed blocks: trial block k holds trials
+Brownian motion has independent increments, so its factor is never
+formed: X_j = X_{j-1} + sqrt(t_j - t_{j-1}) z_j with X_{-1} = t_{-1} = 0,
+the random-walk construction (Glasserman, Monte Carlo Methods in Financial
+Engineering, 2003, section 3.1), from the same normals.  Normals come in fixed blocks: trial block k holds trials
 [k * rows, (k + 1) * rows), with rows fixed by the number of grid nodes,
 and its columns fall in blocks of widths 8, 16, 32, ...  Column block c of
 trial block k is drawn row-major by numpy's ziggurat sampler (Marsaglia &
@@ -41,6 +44,7 @@ import numpy as np
 
 from . import _threads
 from .errors import FactorizationError
+from .kernels import FractionalBM
 from .measures import Grid
 from .solver import discretize
 
@@ -60,6 +64,10 @@ _BATCH_DOUBLES = 4_000_000
 # width of the first column block of the normal stream and the pruned path
 # product; each later block is twice as wide as the one before
 _FIRST_BLOCK = 8
+# a column block of a Brownian path is summed one column at a time when it
+# has at least this many rows per column, and one row at a time otherwise:
+# numpy's cumsum and min along short rows pay a call per row
+_WALK_ROWS = 64
 
 
 def factorize(problem):
@@ -70,16 +78,37 @@ def factorize(problem):
     (factor, jitter_used).
     """
     matrix = problem.matrix
-    n = matrix.shape[0]
-    jitter = 0.0
+    try:
+        return np.linalg.cholesky(matrix), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    # one shifted copy, its diagonal rewritten for each jitter
+    shifted = np.array(matrix)
+    diagonal = np.diagonal(matrix)
+    jitter = _BASE_JITTER
     while jitter <= _MAX_JITTER:
+        np.fill_diagonal(shifted, diagonal + jitter)
         try:
-            return np.linalg.cholesky(matrix + jitter * np.eye(n)), jitter
+            return np.linalg.cholesky(shifted), jitter
         except np.linalg.LinAlgError:
-            jitter = max(_BASE_JITTER, 10.0 * jitter)
+            jitter *= 10.0
     raise FactorizationError(
         f"covariance matrix is not positive definite even with jitter {_MAX_JITTER}"
     )
+
+
+def _path_factor(kernel, grid):
+    """(factor, jitter) of the paths on the grid, as _block_minima takes it.
+
+    Brownian motion (the test discretize uses) has independent increments:
+    column j of its Cholesky factor is sqrt(t_j - t_{j-1}) from row j down,
+    with t_{-1} = 0, so the factor is that step vector and no matrix is
+    formed.  kernel.variance raises DomainError for a node below 0.  Every
+    other kernel gets factorize's dense factor.
+    """
+    if isinstance(kernel, FractionalBM) and kernel.H == 0.5:
+        return np.sqrt(np.diff(kernel.variance(grid.nodes), prepend=0.0)), 0.0
+    return factorize(discretize(kernel, grid))
 
 
 def _block_rows(draws_per_trial):
@@ -101,6 +130,23 @@ def _normals(seed, k, c, rows, width):
     return np.random.Generator(np.random.SFC64(stream)).standard_normal((rows, width))
 
 
+def _walk(z, steps, start):
+    # the rows of z * steps summed in place, each from its entry of start:
+    # (row minima, row ends)
+    path = np.multiply(z, steps, out=z)
+    path[:, 0] += start
+    if path.shape[0] < _WALK_ROWS * path.shape[1]:
+        np.cumsum(path, axis=1, out=path)
+        low = path.min(axis=1)
+    else:
+        # the same adds in the same order, a column at a time
+        low = path[:, 0].copy()
+        for j in range(1, path.shape[1]):
+            np.add(path[:, j - 1], path[:, j], out=path[:, j])
+            np.minimum(low, path[:, j], out=low)
+    return low, path[:, -1].copy()
+
+
 def _block_minima(seed, k, trials, factor, floor):
     """Path minima of the trials in block k, exact only where they exceed floor.
 
@@ -110,25 +156,43 @@ def _block_minima(seed, k, trials, factor, floor):
     a row leaves as soon as its running minimum is at or below floor and
     keeps that running minimum, an upper bound on its path minimum.  So for
     every level u >= floor, count(minima > u) is the full paths' count.
+
+    A 1-D factor is Brownian motion's step vector (see _path_factor): a
+    block's coordinates are then running sums of its normals times the
+    steps, continued from each row's last coordinate, and only the rows'
+    running minima and last coordinates are kept.
     """
     n = factor.shape[0]
     rows = _block_rows(n)
-    # trial i's normals are column i, so a path's coordinates of a block
-    # are a column of the product and its minimum a reduction down columns;
-    # the pages of normals never drawn are never touched
-    zt = np.empty((n, min(rows, trials - k * rows)))
-    minima = np.empty(zt.shape[1])
-    alive = np.arange(zt.shape[1])
-    low = np.full(alive.size, np.inf)
+    m = min(rows, trials - k * rows)
+    walk = factor.ndim == 1
+    if walk:
+        last = np.zeros(m)
+    else:
+        # trial i's normals are column i, so a path's coordinates of a block
+        # are a column of the product and its minimum a reduction down
+        # columns; the pages of normals never drawn are never touched
+        zt = np.empty((n, m))
+    minima = np.empty(m)
+    alive = np.arange(m)
+    low = np.full(m, np.inf)
     for c, (c0, c1) in enumerate(_column_blocks(n)):
         m = alive.size
-        zt[c0:c1, :m] = _normals(seed, k, c, m, c1 - c0).T
-        low = np.minimum(low, (factor[c0:c1, :c1] @ zt[:c1, :m]).min(axis=0))
+        z = _normals(seed, k, c, m, c1 - c0)
+        if walk:
+            block_low, last = _walk(z, factor[c0:c1], last)
+        else:
+            zt[c0:c1, :m] = z.T
+            block_low = (factor[c0:c1, :c1] @ zt[:c1, :m]).min(axis=0)
+        low = np.minimum(low, block_low)
         keep = low > floor
         if not keep.all():
             minima[alive[~keep]] = low[~keep]
             alive, low = alive[keep], low[keep]
-            zt[:c1, : alive.size] = zt[:c1, :m][:, keep]
+            if walk:
+                last = last[keep]
+            else:
+                zt[:c1, : alive.size] = zt[:c1, :m][:, keep]
     minima[alive] = low
     return minima
 
@@ -142,13 +206,14 @@ def _hits(kernel, interval, n, u, trials, seed):
     and not yet taken.  The Cholesky factor and every product run with
     OpenBLAS on one thread (see _threads.one_blas_thread), so the factor's
     rounding does not depend on the thread cap.  Returns (hits, jitter),
-    jitter being the Cholesky factor's diagonal shift.
+    jitter being the Cholesky factor's diagonal shift, 0 for Brownian
+    motion, whose paths need no factor.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     if trials < 1:
         raise ValueError("trials must be positive")
-    factor, jitter = factorize(discretize(kernel, Grid(*interval, n)))
+    factor, jitter = _path_factor(kernel, Grid(*interval, n))
 
     def block_hits(k):
         minima = _block_minima(seed, k, trials, factor, u[0])
@@ -177,7 +242,8 @@ class LdpEstimate:
     level is flagged.  ci_halfwidth is the 95% normal-approximation
     halfwidth on the log scale, infinite for zero-hit levels.  jitter is
     the diagonal shift the Cholesky factor of the grid covariance needed
-    (see factorize); it is diagnostic and no command prints it.
+    (see factorize); it is diagnostic and no command prints it.  It is
+    always 0 for Brownian motion, whose paths are built without a factor.
     """
 
     interval: tuple

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gaussmin import _threads, montecarlo
 from gaussmin import (
     BrownianMotion,
     DiscretizedProblem,
+    DomainError,
     FactorizationError,
     FractionalBM,
     FractionalGaussianNoise,
@@ -345,6 +347,88 @@ class TestPathMinima:
             np.count_nonzero(minima[:, None] > levels, axis=0),
             np.count_nonzero(want[:, None] > levels, axis=0),
         )
+
+
+def _brownian_factor(t):
+    # the dense lower Cholesky factor of min(s, t) on nodes t >= 0, with a
+    # zero first row and column when t[0] = 0 makes the matrix singular
+    factor = np.zeros((t.size, t.size))
+    j = int(t[0] == 0.0)
+    factor[j:, j:] = np.linalg.cholesky(np.minimum.outer(t[j:], t[j:]))
+    return factor
+
+
+@st.composite
+def brownian_cases(draw):
+    # Brownian motion on [a, b] with a >= 0, one ragged trial block, and a
+    # floor chosen as in pruning_cases from the dense factor's paths
+    a = draw(st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 4.0))
+    b = a + draw(st.floats(0.25, 4.0))
+    n = draw(st.integers(2, 300))
+    trials = draw(st.integers(1, 500))
+    seed = draw(st.integers(0, 2**32 - 1))
+    grid = Grid(a, b, n)
+    steps, jitter = montecarlo._path_factor(BrownianMotion(), grid)
+    assert jitter == 0.0
+    dense = _brownian_factor(grid.nodes)
+    paths = _serial_paths(dense, seed, trials, trials)
+    first = np.sort(paths[:, :8].ravel())
+    where = draw(st.sampled_from(["below", "inside", "above"]))
+    if where == "below":
+        floor = paths.min() - 1.0
+    elif where == "above":
+        floor = first[-1] + 1.0
+    else:
+        k = draw(st.integers(0, first.size - 2))
+        floor = 0.5 * (first[k] + first[k + 1])
+    return steps, dense, trials, seed, floor, np.nanmax(np.abs(paths))
+
+
+class TestBrownianWalk:
+    """Brownian paths as running sums of the scaled normals, no factor."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(brownian_cases())
+    def test_matches_the_dense_factor(self, case):
+        steps, dense, trials, seed, floor, scale = case
+        walk = montecarlo._block_minima(seed, 0, trials, steps, floor)
+        want = montecarlo._block_minima(seed, 0, trials, dense, floor)
+        np.testing.assert_allclose(walk, want, rtol=1e-12, atol=1e-12 * scale)
+        levels = floor + np.array([0.0, 0.3, 0.7])
+        np.testing.assert_array_equal(
+            np.count_nonzero(walk[:, None] > levels, axis=0),
+            np.count_nonzero(want[:, None] > levels, axis=0),
+        )
+
+    @pytest.mark.parametrize("n", [9, 200, 1000])
+    def test_row_and_column_sums_give_the_same_bits(self, monkeypatch, n):
+        # cumsum along rows and the column loop make the same adds in the
+        # same order, so the choice between them moves no bit
+        steps, _ = montecarlo._path_factor(BrownianMotion(), Grid(1.0, 2.0, n))
+        runs = []
+        for walk_rows in (0, 10**9):
+            monkeypatch.setattr(montecarlo, "_WALK_ROWS", walk_rows)
+            runs.append(_stream_minima(5, 6000, steps, 0.5))
+        np.testing.assert_array_equal(runs[0], runs[1])
+
+    def test_zero_variance_at_the_first_node(self):
+        est = ldp_curve(BrownianMotion(), (0.0, 1.0), 50, [0.5, 1.0], 1000, seed=0)
+        assert est.jitter == 0.0
+        assert est.hits.tolist() == [0, 0]
+
+    def test_node_below_zero_raises(self):
+        with pytest.raises(DomainError, match="nonnegative"):
+            ldp_curve(BrownianMotion(), (-1.0, 1.0), 10, [1.0], 100)
+
+    def test_fine_grid_in_linear_memory(self):
+        # the dense factor at n = 6401 alone is 328 MB
+        tracemalloc.start()
+        try:
+            ldp_curve(BrownianMotion(), (1.0, 2.0), 6401, [1.0], 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestDrawPool:
