@@ -10,7 +10,9 @@ covariance, so a path's first coordinates need only its first normals.
 Brownian motion has independent increments, so its factor is never
 formed: X_j = X_{j-1} + sqrt(t_j - t_{j-1}) z_j with X_{-1} = t_{-1} = 0,
 the random-walk construction (Glasserman, Monte Carlo Methods in Financial
-Engineering, 2003, section 3.1), from the same normals.  Normals come in fixed blocks: trial block k holds trials
+Engineering, 2003, section 3.1), from the same normals.
+
+Normals come in fixed blocks: trial block k holds trials
 [k * rows, (k + 1) * rows), with rows fixed by the number of grid nodes,
 and its columns fall in blocks of widths 8, 16, 32, ...  Column block c of
 trial block k is drawn row-major by numpy's ziggurat sampler (Marsaglia &
