@@ -284,26 +284,21 @@ def build_kernel(cfg):
 _ROW = np.dtype([("i", np.int64), ("j", np.int64), ("value", float)])
 
 
-def _read_rows(rows):
-    # every row, in one np.loadtxt pass; ValueError if it rejects any
-    if not rows:
-        return np.empty(0, _ROW)
-    return np.loadtxt(rows, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
-
-
-def _rejected(row, n):
-    # why np.loadtxt rejected a row; Python's int reads an index past int64,
-    # which is then reported as written
-    fields = row.split(",")
+def _row(row, n):
+    """(i, j, value) of one row as np.loadtxt reads it, or ValueError naming its defect."""
+    fields = [f.strip() for f in row.split(",")]  # every space np.loadtxt strips
     if len(fields) != 3:
-        return "expected three fields"
+        raise ValueError("expected three fields")
     try:
-        i, j, _ = int(fields[0]), int(fields[1]), float(fields[2])
+        i, j, value = int(fields[0]), int(fields[1]), float(fields[2])
     except ValueError:
-        return "malformed row"
-    if 0 <= i < n and 0 <= j < n:
-        return "malformed row"  # digit-group underscores or non-ASCII digits
-    return f"index ({i}, {j}) outside 0..{n - 1}"
+        raise ValueError("malformed row") from None
+    if not (0 <= i < n and 0 <= j < n):  # reported as written, even past int64
+        raise ValueError(f"index ({i}, {j}) outside 0..{n - 1}")
+    # Python reads digit-group underscores and non-ASCII digits; np.loadtxt not
+    if "_" in row or not all(map(str.isascii, fields)):
+        raise ValueError("malformed row")
+    return i, j, value
 
 
 def load_tabulated_matrix(path, n):
@@ -329,50 +324,34 @@ def load_tabulated_matrix(path, n):
         raise ConfigError(f"{path}: expected header 'i,j,value'")
     lines = body.split("\n")
     rows = list(filter(None, lines))
-    # read up to the first row np.loadtxt rejects, found by bisection when
-    # there is one (a range or duplicate defect on an earlier line still wins)
-    parsed = len(rows)
-    try:
-        table = _read_rows(rows)
-    except ValueError:
-        parsed, rejected = 0, len(rows)  # rows[:parsed] read, rows[:rejected] not
-        while rejected - parsed > 1:
-            mid = (parsed + rejected) // 2
-            try:
-                _read_rows(rows[:mid])
-                parsed = mid
-            except ValueError:
-                rejected = mid
-        table = _read_rows(rows[:parsed])
-
-    def line(r):
-        # file line of row r: the header is line 1 and blank lines count
-        return f"{path}:{np.flatnonzero(list(map(bool, lines)))[r] + 2}"
-
-    i, j, values = table["i"], table["j"], table["value"]
-    outside = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n))
-    stop = int(outside[0]) if outside.size else parsed
-    keys = i[:stop] * n + j[:stop]
-    values = values[:stop]
-    isset = ~np.isnan(values)
-    # a row repeats its pair when an earlier row of the pair set a value:
-    # sort rows by pair (stable, so file order within a pair) and count the
-    # value-setting rows ahead of each one in its run of equal pairs
-    order = np.argsort(keys, kind="stable")
-    set_sorted = isset[order]
-    set_before = np.cumsum(set_sorted) - set_sorted
-    run_start = np.diff(keys[order], prepend=-1) != 0
-    first = np.maximum.accumulate(np.where(run_start, np.arange(stop), 0))
-    repeats = order[set_before > set_before[first]]
-    if repeats.size:
-        k = int(repeats.min())
-        raise ConfigError(f"{line(k)}: duplicate entry ({i[k]}, {j[k]})")
-    if outside.size:
-        raise ConfigError(f"{line(stop)}: index ({i[stop]}, {j[stop]}) outside 0..{n - 1}")
-    if parsed < len(rows):
-        raise ConfigError(f"{line(parsed)}: {_rejected(rows[parsed], n)}")
-    matrix = np.full((n, n), np.nan)
-    matrix.flat[keys[isset]] = values[isset]  # unique pairs, so no write order
+    # a well-formed table, each pair set once, is read in one np.loadtxt
+    # pass, tried only at n * n rows: np.loadtxt warns when handed none
+    if len(rows) == n * n:
+        try:
+            table = np.loadtxt(rows, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+        except ValueError:
+            table = np.empty(0, _ROW)  # no pair is set once
+        i, j, values = table["i"], table["j"], table["value"]
+        if ((i >= 0) & (i < n) & (j >= 0) & (j < n)).all() and not np.isnan(values).any():
+            keys = i * n + j  # in range, so it cannot wrap
+            if (np.bincount(keys, minlength=n * n) == 1).all():
+                matrix = np.empty(n * n)
+                matrix[keys] = values
+                return matrix.reshape(n, n)
+    # any other table: one row at a time, so the first defect is reported;
+    # the header is line 1 and blank lines count
+    cells = [math.nan] * (n * n)
+    for number, row in enumerate(lines, start=2):
+        if not row:
+            continue
+        try:
+            i, j, value = _row(row, n)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{number}: {exc}") from None
+        if not math.isnan(cells[i * n + j]):
+            raise ConfigError(f"{path}:{number}: duplicate entry ({i}, {j})")
+        cells[i * n + j] = value
+    matrix = np.array(cells).reshape(n, n)
     if np.any(np.isnan(matrix)):
         i, j = np.argwhere(np.isnan(matrix))[0]
         raise ConfigError(f"{path}: missing entry ({i}, {j})")

@@ -247,17 +247,18 @@ def FractionalGaussianNoise(H, h):
 class Tabulated(Kernel):
     """Kernel known only on a fixed grid of nodes.
 
-    Queries must hit a node (within 1e-12 of the node span); anything else
-    raises :class:`GridError`.  The matrix must be symmetric within 1e-12,
-    and is stored as 0.5 * (M + M.T), so cov is exactly symmetric; it must
-    also be positive semidefinite: an eigenvalue below -1e-12 * max(1, max|M|)
-    raises :class:`FactorizationError`, since no Gaussian process has that
+    Queries must hit a node, within 1e-12 * max(1, span) where span is the
+    last node minus the first; anything else raises :class:`GridError`.  The
+    matrix must be symmetric within 1e-12, and is stored as 0.5 * (M + M.T),
+    so cov is exactly symmetric; it must also be positive semidefinite: an
+    eigenvalue below -1e-12 * max(1, max|M|) raises
+    :class:`FactorizationError`, since no Gaussian process has that
     covariance.  A table whose shift by that floor has a Cholesky factor is
     accepted without computing eigenvalues.
     """
 
     def __init__(self, nodes, matrix):
-        nodes = np.asarray(getattr(nodes, "nodes", nodes), dtype=float)
+        nodes = np.asarray(nodes, dtype=float)
         matrix = np.asarray(matrix, dtype=float)
         if nodes.ndim != 1 or nodes.size < 1:
             raise GridError("tabulated nodes must form a nonempty 1-D array")

@@ -23,6 +23,7 @@ from gaussmin import (
     build_kernel,
     load_config,
 )
+from gaussmin import config
 from gaussmin.config import load_tabulated_matrix
 
 FULL = """
@@ -377,8 +378,8 @@ def _outcome(load, path, n):
         return str(exc)
 
 
-INDEXES = ["0", "1", "2", "-1", " 1", "99999999999999999999", "1.0", "x"]
-VALUES = ["0.5", "-0.0", "nan", "inf", "1e-320", "x", ""]
+INDEXES = ["0", "1", "2", "-1", " 1", "\u00a01", "1\u2003", "99999999999999999999", "1.0", "x"]
+VALUES = ["0.5", "-0.0", "nan", "inf", "1e-320", "0.5\u00a0", "x", ""]
 
 
 @st.composite
@@ -442,16 +443,19 @@ class TestTabulated:
         # a nan value leaves its pair unset, so a later row may set it
         ("i,j,value\n0,0,nan\n0,0,1.0\n0,1,0.0\n1,0,0.0\n1,1,nan\n", r"missing entry \(1, 1\)$"),
         ("i,j,value\n0,0,1.0\n0,0,nan\n", r"bad\.csv:3: duplicate entry \(0, 0\)"),
+        ("i,j,value\n0,0,1.0\n0,1,0.0\n1,0,0.0\n1,1,nan\n", r"missing entry \(1, 1\)$"),
         # blank lines count toward line numbers
         ("i,j,value\n\n0,0,1.0\n0,0,1.0\n", r"bad\.csv:4: duplicate entry \(0, 0\)"),
         # an index past int64 is reported as written
         ("i,j,value\n0,0,1.0\n99999999999999999999,0,1.0\n", r"bad\.csv:3: index \(99999999999999999999, 0\)"),
         ("i,j,value\n", r"missing entry \(0, 0\)$"),
         ("i,j,value\n1,2,1.0\n", r"bad\.csv:2: index \(1, 2\) outside"),
+        # np.loadtxt strips non-ASCII spaces, so this row sets (0, 0)
+        ("i,j,value\n\u00a00,0,1.0\n0,0,1.0\n", r"bad\.csv:3: duplicate entry \(0, 0\)"),
     ], ids=[
         "duplicate_before_range", "range_before_duplicate", "duplicate_before_malformed",
-        "arity_before_duplicate", "nan_leaves_unset", "nan_repeats_set", "blank_line", "huge_index",
-        "header_only", "first_row_outside",
+        "arity_before_duplicate", "nan_leaves_unset", "nan_repeats_set", "nan_in_every_pair_once",
+        "blank_line", "huge_index", "header_only", "first_row_outside", "nbsp_padded_index",
     ])
     def test_first_defect_in_file_order_wins(self, tmp_path, rows, msg):
         path = tmp_path / "bad.csv"
@@ -507,18 +511,38 @@ class TestTabulatedRows:
 
     @pytest.mark.parametrize("defect", [
         "0,1", "0,1,x", "0,1,1.0,", "300,1,1.0", "0,1,1.0", " ", "99999999999999999999,1,1.0",
+        "0,1,nan",
     ])
     @pytest.mark.parametrize("where", [0, 1, 20_000, 40_400])
     def test_a_defect_deep_in_a_full_table(self, tmp_path, defect, where):
-        # the first rejected row is found by bisection; blank lines count
+        # the row loop reports the first defective line; blank lines count
         rows = [f"{i},{j},{0.5 * (i + j)!r}" for i in range(201) for j in range(201)]
         rows[where + 1 :] = ["", *rows[where + 1 :]]
         rows.insert(where, defect)
         path = tmp_path / "big.csv"
         path.write_text("i,j,value\n" + "\n".join(rows) + "\n")
         want = _outcome(_reference_load, str(path), 201)
-        assert "big.csv:" in want
+        if defect == "0,1,nan" and where <= 1:
+            assert isinstance(want, bytes)  # before its pair's row, a nan row sets nothing
+        else:
+            assert "big.csv:" in want
         assert _outcome(load_tabulated_matrix, str(path), 201) == want
+
+    def test_well_formed_table_skips_the_row_loop(self, tmp_path, monkeypatch):
+        def row(*args):
+            raise AssertionError("row loop entered on a well-formed table")
+
+        rows = [f"{i},{j},{0.5 * (i + j)!r}" for i in range(201) for j in range(201)]
+        path = tmp_path / "big.csv"
+        path.write_text("i,j,value\n" + "\n".join(rows) + "\n")
+        want = _reference_load(str(path), 201).tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(config, "_row", row)
+            assert load_tabulated_matrix(str(path), 201).tobytes() == want
+        # a nan row leaves its pair unset, so the row loop reads this table
+        path.write_text("i,j,value\n" + "\n".join(["0,1,nan", *rows]) + "\n")
+        got = load_tabulated_matrix(str(path), 201).tobytes()
+        assert got == _reference_load(str(path), 201).tobytes() == want
 
     @pytest.mark.parametrize("row", ['"0",0,1.0', "0,0,1_0", "0_0,0,1.0"])
     def test_python_only_spellings_are_malformed(self, tmp_path, row):
