@@ -26,21 +26,23 @@ on the enlarged support S, dropping nodes by a ratio test until the
 solution is positive.  A round adds every such node that is a local
 minimum of g along the grid, so a minimizer that fills the grid (rough
 kernels) is reached in a few rounds, not one node at a time.  Each round
-solves the bordered system of its face by a dense LU (see _face_minimum).
+solves the bordered system of its face's block by a dense LU (see
+_face_minimum) and forms g from one product M w.
 
-Rough kernels (H < 1/2) have minimizers that fill the grid, so their
-rounds would grow the face until it is all of M.  For stationary kernels
-and for fBm, M is a Toeplitz matrix T plus the rank-two term
-(u 1' + 1 u') / 2, with u = 0 for stationary kernels (see
-DiscretizedProblem).  Once a round ends on a face spread across the grid
-(see _spreads) without ever having dropped a node, solve tries the whole
-grid in one step instead (see _whole_grid): M x = 1 by conjugate
-gradients with T. Chan's optimal circulant preconditioner ("An optimal
-circulant preconditioner for Toeplitz systems", SIAM J. Sci. Stat.
-Comput. 9, 1988; Chan & Ng, "Conjugate gradient methods for Toeplitz
-systems", SIAM Review 38, 1996), every product an FFT of O(n) vectors.
-x / sum(x) is the minimizer when all its entries are positive; otherwise
-the rounds go on.
+For stationary kernels and for fBm, Brownian motion included, M is a
+Toeplitz matrix T plus the rank-two term (u 1' + 1 u') / 2, with u = 0
+for stationary kernels, so M w is an FFT of O(n) vectors (see
+DiscretizedProblem).  Rough kernels (H < 1/2) have minimizers that fill
+the grid, so their rounds would grow the face until it is all of M.
+Once a round ends on a face spread across the grid (see _spreads)
+without ever having dropped a node, solve tries the whole grid in one
+step instead (see _whole_grid): M x = 1 by conjugate gradients with
+T. Chan's optimal circulant preconditioner ("An optimal circulant
+preconditioner for Toeplitz systems", SIAM J. Sci. Stat. Comput. 9,
+1988; Chan & Ng, "Conjugate gradient methods for Toeplitz systems",
+SIAM Review 38, 1996), every product an FFT of O(n) vectors.  x / sum(x)
+is the minimizer when all its entries are positive; otherwise the
+rounds go on.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
 
-# rows of the equilibrium system copied per step in _kkt
-_KKT_ROWS = 256
 # conjugate gradient steps before the whole-grid step gives up
 _CG_STEPS = 100
 # nodes a face needs before it can be seen to spread (see _spreads)
@@ -67,28 +67,46 @@ _SPREAD = 8
 
 
 class DiscretizedProblem:
-    """Grid plus the covariance matrix M on its nodes, handed out by rows.
+    """Grid plus the covariance matrix M on its nodes, read by blocks and products.
 
-    rows(idx) returns M[idx] for an int, an index array or a slice, and
-    diagonal is M's diagonal.  lags, when M is a Toeplitz matrix plus a
-    rank-two term, is the Toeplitz first row, M[i, j] = lags[|i - j|] +
-    (u_i + u_j) / 2 with u = diagonal - lags[0] (u = 0 when M is
-    Toeplitz), and None otherwise.  solve reads nothing else.  matrix,
-    the whole n x n array (read-only), is built as rows(slice(None)) on
-    first access.
+    block(face) returns M[face][:, face] for an index array or a slice
+    face, and diagonal is M's diagonal.  lags, when M is a Toeplitz matrix
+    T plus a rank-two term, is T's first row, M[i, j] = lags[|i - j|] +
+    (u_i + u_j) / 2 up to rounding with u = diagonal - lags[0] (u = 0 when
+    M is Toeplitz), and None otherwise.  product(v) is M v.  solve reads
+    nothing else.  matrix, the whole n x n array (read-only), is built as
+    block(slice(None)) on first access.
     """
 
-    def __init__(self, grid, rows, diagonal, lags=None):
+    def __init__(self, grid, block, diagonal, lags=None):
         self.grid = grid
-        self.rows = rows
+        self.block = block
         self.diagonal = diagonal
         self.lags = lags
 
     @cached_property
     def matrix(self):
-        matrix = np.ascontiguousarray(self.rows(slice(None)))
+        matrix = np.ascontiguousarray(self.block(slice(None)))
         matrix.flags.writeable = False
         return matrix
+
+    @cached_property
+    def _circulant(self):
+        # size, the power of two at least 2n - 1, the spectrum of the
+        # circulant of that order whose leading n x n block is T, and u
+        n = self.lags.size
+        size = 1 << (2 * n - 2).bit_length()
+        column = np.concatenate((self.lags, np.zeros(size - 2 * n + 1), self.lags[:0:-1]))
+        return size, np.fft.rfft(column), self.diagonal - self.lags[0]
+
+    def product(self, v):
+        """M v: matrix @ v without lags, else T v + (u sum(v) + (u'v) 1) / 2 by FFT."""
+        if self.lags is None:
+            return self.matrix @ v
+        size, spectrum, u = self._circulant
+        out = np.fft.irfft(spectrum * np.fft.rfft(v, size), size)[: v.size]
+        out += 0.5 * (u * v.sum() + u @ v)
+        return out
 
 
 def _toeplitz(lags):
@@ -99,39 +117,44 @@ def _toeplitz(lags):
     return sliding_window_view(both, lags.size)[::-1]
 
 
-def discretize(kernel, grid):
-    """Covariance of the kernel on the grid nodes, as a row reader.
+def _pairs(face):
+    """Index of the block [face][:, face]: a view for a slice, else a gather."""
+    return (face, face) if isinstance(face, slice) else np.ix_(face, face)
 
-    Only O(n) vectors are computed here; rows(idx) builds M[idx] from them
-    on demand, with the same operations for every entry whichever rows
-    are asked for, so the rows of any call agree bit for bit and the
-    whole matrix is exactly symmetric.  On the uniform grid a function of
-    the lag takes n values, so its matrix is a Toeplitz view of one
-    vector.  Stationary kernels keep Gamma(t - t[0]), the problem's lags,
-    and read rows of that view.  Fractional Brownian motion with H != 1/2 has
-    R(s, t) = (V(s) + V(t) - V(|t - s|)) / 2 with V(x) = x^{2H}; a row is
-    V(t_i) + V(t_j), minus the Toeplitz row of V(t - t[0]), times 1/2.
-    These are cov's operations with the lag |t_j - t_i| read as
-    t_{|i - j|} - t[0], so an entry differs from cov's by rounding only.
-    Its lags are -V(t - t[0]) / 2, and u = V(t) (see DiscretizedProblem).
-    Other kernels (Brownian motion, whose min(s, t) is exact, and
-    Tabulated, whose stored table is exactly symmetric) keep the nodes and
-    call cov(t[idx][..., None], t).  A node below 0 raises DomainError for
-    fBm, and non-finite input vectors, or a variance past half the float
-    range, raise DegenerateKernelError; every entry is then finite, since
-    no entry exceeds the largest variance in size.
+
+def discretize(kernel, grid):
+    """Covariance of the kernel on the grid nodes, as a block reader.
+
+    Only O(n) vectors are computed here; block(face) builds M[face][:, face]
+    from them on demand with the same operations for every entry, so the
+    blocks of any faces agree bit for bit and the whole matrix is exactly
+    symmetric.  On the uniform grid a function of the lag takes n values,
+    so its matrix is a Toeplitz view of one vector.  Stationary kernels
+    keep Gamma(t - t[0]), the problem's lags, and gather their blocks from
+    that view.  Fractional Brownian motion with H != 1/2 has
+    R(s, t) = (V(s) + V(t) - V(|t - s|)) / 2 with V(x) = x^{2H}; an entry
+    is V(t_i) + V(t_j), minus the Toeplitz entry of V(t - t[0]), times 1/2:
+    cov's operations with the lag |t_j - t_i| read as t_{|i - j|} - t[0],
+    so an entry differs from cov's by rounding only.  Its lags are
+    -V(t - t[0]) / 2, and u = V(t) (see DiscretizedProblem).  Brownian
+    motion, whose min(s, t) is exact, and Tabulated, whose stored table is
+    exactly symmetric, call cov(t[face][:, None], t[face]).  Brownian
+    motion's lags are fBm's with V(x) = x, -(t - t[0]) / 2; Tabulated has
+    none, and its product builds the matrix.  A node below 0 raises
+    DomainError for fBm, and non-finite input vectors, or a variance past
+    half the float range, raise DegenerateKernelError; every entry is then
+    finite, since no entry exceeds the largest variance in size.
     """
     t = grid.nodes
     overflow = f"covariance overflows on the grid over [{t[0]}, {t[-1]}]"
-    lags = None
     if kernel.stationary:
         lags = finite_values(
             lambda: np.asarray(kernel.gamma(t - t[0]), dtype=float), overflow
         )
         toeplitz = _toeplitz(lags)
 
-        def rows(idx):
-            return toeplitz[idx]
+        def block(face):
+            return toeplitz[_pairs(face)]
 
         diagonal = np.broadcast_to(lags[0], t.shape)
     elif isinstance(kernel, FractionalBM) and kernel.H != 0.5:
@@ -140,23 +163,24 @@ def discretize(kernel, grid):
         toeplitz = _toeplitz(lag_variance)
         lags = -0.5 * lag_variance
 
-        def rows(idx):
-            block = np.add.outer(v[idx], v)
-            block -= toeplitz[idx]
-            block *= 0.5
-            return block
+        def block(face):
+            out = np.add.outer(v[face], v[face])
+            out -= toeplitz[_pairs(face)]
+            out *= 0.5
+            return out
 
         diagonal = finite_values(lambda: 0.5 * ((v + v) - toeplitz[0, 0]), overflow)
     else:
 
-        def rows(idx):
-            return np.asarray(kernel.cov(t[idx][..., None], t), dtype=float)
+        def block(face):
+            return np.asarray(kernel.cov(t[face][:, None], t[face]), dtype=float)
 
         diagonal = np.asarray(kernel.cov(t, t), dtype=float)
+        lags = -0.5 * (t - t[0]) if isinstance(kernel, FractionalBM) else None
     # solve forms 2 M w, which overflows once a variance passes half the
     # float range
     finite_values(lambda: 2.0 * diagonal, overflow)
-    return DiscretizedProblem(grid, rows=rows, diagonal=diagonal, lags=lags)
+    return DiscretizedProblem(grid, block=block, diagonal=diagonal, lags=lags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,51 +210,52 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     The start is the node with the smallest variance (lowest index on
     ties).  A round adds nodes to the support and moves to the minimizer
     of the energy on the face they span (see _face_minimum).  Normally it
-    adds every node whose gradient entry lies below lam = <g, w> and is a
-    local minimum of g along the grid.  After a round that did not lower
-    the energy it adds only argmin g, Lawson and Hanson's single step,
-    which lowers it whenever the gap is positive.  In exact arithmetic
-    every round lowers the energy, so no face repeats; in floating point a
-    round near the optimum can raise it at rounding level, and a
-    single-node round that leaves the weights unchanged ends the loop.
-    Each round counts as one iteration and adds one entry to energy_trace.
-    M is read through problem.rows: the start row, then once per round
-    the rows of the nodes it adds, inserted at their grid positions among
-    the face's nodes, rows and weights, which serve both the equilibrium
-    system and the new gradient g = 2 M w; the certificate of the returned
-    weights is their last gradient.  An atomic minimizer thus reads a few
-    rows of M, never all of it.  When problem.lags is set, the first round
-    that ends on a face spread across the grid (see _spreads), no node
-    ever dropped, is followed by one try of the whole grid (see
-    _whole_grid), which reads lags and diagonal only.  If its weights are
-    all positive and its gap is at most tol, it is the last round;
-    otherwise it is discarded and the rounds go on.  It runs with numpy's
-    bundled OpenBLAS on one thread (see _threads.one_blas_thread), so its
-    result does not depend on the GAUSSMIN_THREADS cap.  tol is an
-    absolute bound on the gap, in the units of M's entries; it must be
-    positive and finite.
+    adds each node i whose gradient entry is a local minimum of g along
+    the grid below lam = <g, w>, up to rounding: with e = 64 eps max|g|,
+    g_i < lam - e, g_i < g_{i-1} - e and g_i <= g_{i+1} + e, so a stretch
+    of g flat up to rounding adds its left end only.  After a round that
+    did not lower the energy it adds only argmin g, Lawson and Hanson's
+    single step, which lowers it whenever the gap is positive.  In exact
+    arithmetic every round lowers the energy, so no face repeats; in
+    floating point a round near the optimum can raise it at rounding
+    level, and a single-node round that leaves the weights unchanged ends
+    the loop.  Each round counts as one iteration and adds one entry to
+    energy_trace.  A round inserts its new nodes at their grid positions
+    among the face's nodes and weights, solves the equilibrium system of
+    the face's block and sets g = 2 problem.product(w), with g = 2 M_SS x
+    on the face from its block, so lam and the energies read M's entries.
+    Where the product is an FFT (see DiscretizedProblem), every other
+    entry of g, and so the gap, is within 2 eps log2(size) sum|lags| of
+    2 M w, size <= 4n the FFT order.  Memory is O(k^2 + n) for a face of
+    k nodes.  When problem.lags is set, the first round that ends on a
+    face spread across the grid (see _spreads), no node ever dropped, is
+    followed by one try of the whole grid (see _whole_grid), which reads
+    lags, diagonal and products only.  If its weights are all positive and
+    its gap is at most tol, it is the last round; otherwise it is
+    discarded and the rounds go on.  It runs with numpy's bundled OpenBLAS
+    on one thread (see _threads.one_blas_thread), so its result does not
+    depend on the GAUSSMIN_THREADS cap.  tol is an absolute bound on the
+    gap, in the units of M's entries; it must be positive and finite.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     start = int(np.argmin(problem.diagonal))
-    # the face: its nodes in grid order, their rows of M and their weights x
-    nodes = np.array([start])
-    rows = problem.rows(nodes)
-    x = np.ones(1)
+    # the face: its nodes in grid order and their weights x
+    nodes, x = np.array([start]), np.ones(1)
     dropped = False
-    w = np.zeros(rows.shape[1])
+    w = np.zeros(problem.diagonal.size)
     w[start] = 1.0
-    # M is symmetric, so its rows serve as columns
-    g = 2.0 * rows[0]
-    energy = float(rows[0, start])
+    g = _gradient(problem, w, nodes, x)
+    energy = float(problem.diagonal[start])
     trace = [energy]
 
     iterations = 0
     single = False
     converged = False
     whole = problem.lags is not None
+    eps = np.finfo(float).eps
     while iterations < max_iter:
         lam = float(w @ g)
         s = int(np.argmin(g))
@@ -249,25 +274,24 @@ def solve(problem, tol=1e-9, max_iter=200_000):
         if single:
             added = np.array([s])
         else:
-            # local minima of g along the grid, ends included
-            local = g < lam
-            local[1:] &= g[1:] <= g[:-1]
-            local[:-1] &= g[:-1] <= g[1:]
+            # local minima of g along the grid, ends included, up to rounding
+            e = 64.0 * eps * float(np.max(np.abs(g)))
+            local = g < lam - e
+            local[1:] &= g[1:] < g[:-1] - e
+            local[:-1] &= g[:-1] <= g[1:] + e
             added = np.flatnonzero(local)
         new = added[w[added] == 0.0]
         if new.size:
             at = np.searchsorted(nodes, new)
             nodes = np.insert(nodes, at, new)
             x = np.insert(x, at, 0.0)
-            # a statement of its own, so the old block is freed before
-            # _face_minimum builds its system
-            rows = np.insert(rows, at, problem.rows(new), axis=0)
         k = nodes.size
-        nodes, x, rows = _face_minimum(rows, nodes, x)
+        # the block is an argument only, so _face_minimum can free it
+        nodes, x = _face_minimum(problem.block(nodes), nodes, x)
         dropped |= nodes.size < k
         trial = np.zeros_like(w)
         trial[nodes] = x
-        g = 2.0 * (x @ rows)
+        g = _gradient(problem, trial, nodes, x)
         trial_energy = 0.5 * float(x @ g[nodes])
         # a single-node round that changes nothing would repeat forever
         stalled = single and np.array_equal(trial, w)
@@ -293,30 +317,45 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     )
 
 
-def _face_minimum(rows, face, cur):
+def _gradient(problem, w, face, x):
+    """g = 2 M w from one product, with g[face] = 2 M_SS x from face's block."""
+    g = 2.0 * problem.product(w)
+    g[face] = 2.0 * (x @ problem.block(face))
+    return g
+
+
+def _face_minimum(block, face, cur):
     """Minimize the energy over the simplex face spanned by the nodes in face.
 
-    face is strictly increasing (grid order); rows holds M[face], the
-    covariance rows of its nodes, and cur, the start, probability weights
-    on face (nodes just added carry weight 0), both in the order of face.
-    Solves the equilibrium system on the face (see _equilibrium); if some
-    x_i <= 0, it moves from the current weights toward x up to the first
-    weight that reaches zero (a ratio test), drops that node and every
-    other node left at zero with x_i <= 0, and solves again on the
-    system's remaining rows and columns.  Returns the final face, its
-    weights, summing to one and all positive (x once it is positive, or
-    the current weights and their support if the system yields non-finite
-    values), and its rows, all in grid order.  When no node dropped, the
-    rows returned are rows itself, not a copy.
+    face is strictly increasing (grid order); block holds M_SS, S = face,
+    and cur, the start, probability weights on face (nodes just added
+    carry weight 0), both in the order of face.  Solves M_SS x = c 1,
+    sum x = 1 from its bordered system [[M_SS, 1], [1', 0]], by least
+    squares when that is singular.  If some x_i <= 0, it moves from the
+    current weights toward x up to the first weight that reaches zero (a
+    ratio test), drops that node and every other node left at zero with
+    x_i <= 0, and solves again on the system's remaining rows and columns.
+    Returns the final face and its weights, summing to one and all
+    positive (x once it is positive, or the current weights and their
+    support if the system yields non-finite values), in grid order.
     """
-    kkt = _kkt(rows, face)
-    kept = np.arange(face.size)
+    k = face.size
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = block
+    kkt[k, k] = 0.0
+    # the bordered system replaces the block, which the caller does not keep
+    del block
     while True:
-        x = _equilibrium(kkt)
+        rhs = np.zeros(len(kkt))
+        rhs[-1] = 1.0
+        try:
+            x = np.linalg.solve(kkt, rhs)[:-1]
+        except np.linalg.LinAlgError:
+            x = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
         if not np.all(np.isfinite(x)):
             # the face shrinks to the support of the current weights
             keep = cur > 0.0
-            face, cur, kept = face[keep], cur[keep], kept[keep]
+            face, cur = face[keep], cur[keep]
             break
         if np.all(x > 0.0):
             cur = x
@@ -329,14 +368,10 @@ def _face_minimum(rows, face, cur):
         cur = cur + ratios[first] * (x - cur)
         cur[blocking[first]] = 0.0
         keep = (x > 0.0) | (cur > 0.0)
-        face, cur, kept = face[keep], cur[keep], kept[keep]
+        face, cur = face[keep], cur[keep]
         left = np.append(np.flatnonzero(keep), keep.size)
-        kkt = kkt.take(left, axis=0).take(left, axis=1)
-    # freed before the rows are copied, to keep it out of the peak memory
-    del kkt
-    if kept.size < len(rows):
-        rows = rows[kept]
-    return face, cur / cur.sum(), rows
+        kkt = kkt[np.ix_(left, left)]
+    return face, cur / cur.sum()
 
 
 def _spreads(nodes, n):
@@ -362,35 +397,24 @@ def _whole_grid(problem, tol):
 
     M = T + (u 1' + 1 u') / 2, with T the Toeplitz matrix of lags and
     u = diagonal - lags[0] (see DiscretizedProblem).  Solves M x = 1 (see
-    _pcg): M is a covariance matrix, so it is positive definite although T
-    alone need not be (fBm's T has a zero diagonal).  T is the leading
-    block of the circulant of order size, the power of two at least
-    2n - 1, whose first column is lags, zeros and lags reversed, so M v is
-    one FFT product plus (u sum(v) + (u'v) 1) / 2.  T. Chan's
-    preconditioner is the circulant C of order n nearest to M in the
-    Frobenius norm: c_k = ((n - k) lags[k] + k lags[n - k]) / n from T,
-    plus sum(u) / n for every k from the rank-two term, which adds sum(u)
-    to C's eigenvalue at frequency 0.  C^-1 is a circulant too; its first
-    column d comes from one FFT of order n at the start, and C^-1 r, the
-    circular convolution of d and r, is their linear convolution at the
-    same power-of-two order, folded mod n (n is often prime, and an FFT of
-    prime order is several times slower).  For stationary kernels u is 0
-    and every step is that of T alone.  Returns (w, g) with
-    w = x / sum(x) and g = 2 M w from one more product, or None when CG
-    does not converge, some x_i <= 0, C is not positive definite, or the
-    gap <g, w> - min g exceeds tol.
+    _pcg) with M v = problem.product(v), an FFT of order size: M is a
+    covariance matrix, so it is positive definite although T alone need
+    not be (fBm's T has a zero diagonal).  T. Chan's preconditioner is the
+    circulant C of order n nearest to M in the Frobenius norm:
+    c_k = ((n - k) lags[k] + k lags[n - k]) / n from T, plus sum(u) / n
+    for every k from the rank-two term, which adds sum(u) to C's
+    eigenvalue at frequency 0.  C^-1 is a circulant too; its first column
+    d comes from one FFT of order n at the start, and C^-1 r, the circular
+    convolution of d and r, is their linear convolution at order size,
+    folded mod n (n is often prime, and an FFT of prime order is several
+    times slower).  For stationary kernels u is 0 and every step is that
+    of T alone.  Returns (w, g) with w = x / sum(x) and g = 2 M w from one
+    more product, or None when CG does not converge, some x_i <= 0, C is
+    not positive definite, or the gap <g, w> - min g exceeds tol.
     """
     lags = problem.lags
-    u = problem.diagonal - lags[0]
+    size, _, u = problem._circulant
     n = lags.size
-    size = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.rfft(np.concatenate((lags, np.zeros(size - 2 * n + 1), lags[:0:-1])))
-
-    def product(v):
-        out = np.fft.irfft(spectrum * np.fft.rfft(v, size), size)[:n]
-        out += 0.5 * (u * v.sum() + u @ v)
-        return out
-
     k = np.arange(n)
     chan = np.fft.rfft(((n - k) * lags + k * np.r_[0.0, lags[:0:-1]]) / n).real
     chan[0] += u.sum()
@@ -403,11 +427,11 @@ def _whole_grid(problem, tol):
         both[: n - 1] += both[n : 2 * n - 1]
         return both[:n]
 
-    x = _pcg(product, precondition, np.ones(n))
+    x = _pcg(problem.product, precondition, np.ones(n))
     if x is None or not np.all(x > 0.0):
         return None
     w = x / x.sum()
-    g = 2.0 * product(w)
+    g = 2.0 * problem.product(w)
     if float(w @ g) - float(np.min(g)) > tol:
         return None
     return w, g
@@ -442,40 +466,14 @@ def _pcg(product, precondition, b):
     return None
 
 
-def _kkt(rows, face):
-    """The bordered system [[M_SS, 1], [1', 0]] of S = face, given rows = M[face]."""
-    k = face.size
-    kkt = np.empty((k + 1, k + 1))
-    block = kkt[:k, :k]
-    # a block of rows at a time, so no k x k temporary sits beside kkt
-    for lo in range(0, k, _KKT_ROWS):
-        block[lo : lo + _KKT_ROWS] = rows[lo : lo + _KKT_ROWS].take(face, axis=1)
-    kkt[:k, k] = 1.0
-    kkt[k] = 1.0
-    kkt[k, k] = 0.0
-    return kkt
-
-
-def _equilibrium(kkt):
-    """Solve M_SS x = c 1, sum x = 1 from its bordered system (see _kkt).
-
-    Least squares when the system is singular.
-    """
-    rhs = np.zeros(len(kkt))
-    rhs[-1] = 1.0
-    try:
-        return np.linalg.solve(kkt, rhs)[:-1]
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:-1]
-
-
 def extract_measure(result, grid, prune=1e-4):
     """Turn solver weights into a sparse measure.
 
     Nodes with weight <= prune are dropped and the survivors, renormalized,
     are the atoms, one per node, so the measure's energy is the solver's
-    up to the pruned mass.  prune must lie in [0, 0.01]; pruning everything
-    raises EmptyMeasureError.
+    when nothing is pruned; renormalizing can raise it by more than the
+    pruned mass.  prune must lie in [0, 0.01]; pruning everything raises
+    EmptyMeasureError.
     """
     if not 0.0 <= prune <= 0.01:
         raise ValueError(f"prune must lie in [0, 0.01], got {prune}")

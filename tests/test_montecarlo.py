@@ -71,7 +71,7 @@ def _stream_minima(seed, trials, factor, floor=-np.inf):
 
 def _problem(matrix):
     matrix = np.asarray(matrix, dtype=float)
-    return DiscretizedProblem(None, matrix.__getitem__, np.diagonal(matrix))
+    return DiscretizedProblem(None, lambda face: matrix[face][:, face], np.diagonal(matrix))
 
 
 class TestFactorize:
@@ -570,7 +570,7 @@ class TestDrawPool:
     def test_cli_import_leaves_the_pool_module_unloaded(self):
         # the executor is imported inside the Monte Carlo loop, so commands
         # that never simulate do not pay for it at start-up; likewise
-        # numpy.fft, which only the solver's whole-grid step reads
+        # numpy.fft, which only the solver's products read
         src = os.path.dirname(os.path.dirname(montecarlo.__file__))
         code = (
             "import sys, gaussmin.cli; "

@@ -45,7 +45,7 @@ def _problem(matrix):
     grid = Grid(0.0, 1.0, n)
     matrix = 0.5 * (matrix + matrix.T)
     matrix.flags.writeable = False
-    return DiscretizedProblem(grid, matrix.__getitem__, np.diagonal(matrix))
+    return DiscretizedProblem(grid, lambda face: matrix[face][:, face], np.diagonal(matrix))
 
 
 class TestDiscretize:
@@ -239,39 +239,71 @@ class TestRows:
         data=st.data(),
     )
     def test_rows_are_the_matrix_rows(self, kind, H, a, width, n, data):
+        # each row of a face's block is the matrix row of its node, read on
+        # the face: the block is M[face][:, face] bit for bit
         grid = Grid(a, a + width, n)
         prob = discretize(_kernel_on(kind, H, grid), grid)
         picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-        # rows read before the whole matrix exists, as solve reads them
-        indexes = [np.unique(picked), np.array(picked), picked[0]]
-        rows = [prob.rows(idx) for idx in indexes]
+        # blocks read before the whole matrix exists, as solve reads them
+        faces = [np.unique(picked), np.array(picked)]
+        blocks = [prob.block(face) for face in faces]
         matrix = prob.matrix
-        for idx, block in zip(indexes, rows):
-            assert _same_bits(block, matrix[idx]), idx
+        for face, block in zip(faces, blocks):
+            for row, i in zip(block, face):
+                assert _same_bits(row, matrix[i, face]), (i, face)
         assert _same_bits(prob.diagonal, np.diagonal(matrix))
         assert prob.matrix is matrix
         # where lags is set, M[i, j] = lags[|i - j|] + (u_i + u_j) / 2 with
         # u = diagonal - lags[0]: exactly for stationary kernels, whose u is
-        # 0, and up to rounding for fBm, whose rows subtract before halving
-        if kind in ("bm", "tabulated"):
+        # 0, and up to rounding for fBm, whose entries subtract before
+        # halving, and for Brownian motion, whose min(s, t) reads no lag
+        if kind == "tabulated":
             assert prob.lags is None
             return
         u = prob.diagonal - prob.lags[0]
         i = np.arange(n)
         built = prob.lags[np.abs(i[:, None] - i[None, :])] + np.add.outer(u, u) / 2
-        if kind == "fbm":
+        if kind in ("fbm", "bm"):
             atol = 4.0 * np.finfo(float).eps * np.max(np.abs(matrix))
             np.testing.assert_allclose(built, matrix, rtol=0.0, atol=atol)
         else:
             assert _same_bits(built, matrix)
+
+    @pytest.mark.parametrize("kind", ["fgn", "increment", "fbm", "bm", "tabulated"])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        H=st.floats(0.05, 0.95).filter(lambda H: H != 0.5),
+        a=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+        width=st.floats(0.01, 10.0),
+        n=st.integers(2, 120),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_is_the_matrix_product(self, kind, H, a, width, n, seed):
+        # product(v) is M v: the matrix product without lags, else an FFT
+        # product within eps log2(size) sum|lags| of M v for a probability
+        # vector, the bound solve states (size <= 4n)
+        grid = Grid(a, a + width, n)
+        prob = discretize(_kernel_on(kind, H, grid), grid)
+        w = np.random.default_rng(seed).dirichlet(np.ones(n))
+        got = prob.product(w)
+        if prob.lags is None:
+            assert "matrix" in vars(prob)
+            assert _same_bits(got, prob.matrix @ w)
+            return
+        assert "matrix" not in vars(prob)
+        bound = np.finfo(float).eps * np.log2(4 * n) * np.sum(np.abs(prob.lags))
+        # the reference product rounds too, by n eps max|M| at most
+        bound += n * np.finfo(float).eps * np.max(np.abs(prob.matrix))
+        assert np.max(np.abs(got - prob.matrix @ w)) <= bound
 
     @pytest.mark.parametrize(
         "kernel, a, b",
         [(FractionalBM(0.75), 1.0, 2.0), (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0)],
     )
     def test_atomic_minimizer_never_builds_the_matrix(self, kernel, a, b):
-        # the left-endpoint Dirac and the two-point measure read one to
-        # four rows of the 20 MB matrix
+        # the left-endpoint Dirac and the three-point measure read the
+        # blocks of faces of one to three nodes and O(n) products, never
+        # the 20 MB matrix
         n = 1601
         tracemalloc.start()
         try:
@@ -285,10 +317,10 @@ class TestRows:
         assert peak < 0.05 * 8 * n * n
 
     def test_dense_rounds_peak_memory(self):
-        # H = 1/2 noise drops nodes from its first round on, so every round
-        # solves its face system by a dense LU; the face's rows are kept in
-        # grid order, and a second copy of them made on entry would raise
-        # the peak past this bound
+        # H = 1/2 noise drops nodes, and every round solves its face system
+        # by a dense LU; the bound was set when a face held its rows, k x n
+        # floats, and a second copy of them made on entry would have raised
+        # the peak past it.  A face now holds its k x k block
         n = 1601
         prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, n))
         tracemalloc.start()
@@ -322,30 +354,54 @@ class TestRows:
             (FractionalGaussianNoise(0.9, 1.0), 0.0, 1.5, 401),
         ],
     )
-    def test_same_rounds_as_the_dense_loop(self, kernel, a, b, n):
-        # the rounds, the support and the energies at rounding level must
-        # agree; the bound 8 eps was fixed before factored rounds were
-        # written.  Rough kernels (H = 0.3 noise and fBm) fill the grid and
-        # end early on the whole-grid step, so their rounds agree up to
-        # that one
+    def test_same_rounds_as_the_dense_loop(self, kernel, a, b, n, monkeypatch):
+        # the final energy agrees within 8 eps, a bound fixed before factored
+        # rounds were written.  For H > 1/2 the rounds, the support and the
+        # energy trace agree too.  Rough kernels (H = 0.3 noise and fBm)
+        # fill the grid and end early on the whole-grid step; the rounds
+        # before it add one node per stretch of g flat up to rounding,
+        # where the dense loop adds every tie, so their traces differ.
+        # H = 1/2 noise has flat stretches of g and a grid minimizer that is
+        # not unique: its rounds and support differ, and its face spreads
+        # before a drop, so the step is tried once and rejected
+        steps = TestWholeGrid._spy(monkeypatch)
         prob = discretize(kernel, Grid(a, b, n))
         result = solve(prob, tol=1e-9, max_iter=200_000)
         with _threads.one_blas_thread():
             weights, trace, iterations, energy_ = _dense_solve(prob.matrix, 1e-9, 200_000)
         rounds = result.iterations
         hurst = kernel.base.H if kernel.stationary else kernel.H
-        if hurst < 0.5:
-            assert rounds < iterations
-        else:
-            assert rounds == iterations
-        np.testing.assert_array_equal(result.weights > 0.0, weights > 0.0)
         eps = np.finfo(float).eps
-        np.testing.assert_allclose(
-            result.energy_trace[:rounds], trace[:rounds], rtol=8.0 * eps, atol=0.0
-        )
+        if hurst < 0.5:
+            assert len(steps) == 1 and steps[0] is not None
+            assert rounds < iterations
+        elif hurst == 0.5:
+            assert steps == [None]
+        else:
+            assert steps == []
+            assert rounds == iterations
+            np.testing.assert_allclose(result.energy_trace, trace, rtol=8.0 * eps, atol=0.0)
+        if hurst != 0.5:
+            np.testing.assert_array_equal(result.weights > 0.0, weights > 0.0)
         np.testing.assert_allclose(result.energy_trace[-1], trace[-1], rtol=8.0 * eps, atol=0.0)
         # the certificate sums the last gradient, not M @ w
         assert abs(result.energy - energy_) <= 8.0 * eps * abs(energy_)
+
+    @pytest.mark.parametrize(
+        "kernel, a, b, n, sigma_sq",
+        [
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0, 401, README_SIGMA_SQ),
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 2.0, 1601, README_SIGMA_SQ),
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 1.0, 401, 0.7071067811865476),
+            (FractionalBM(0.75), 1.0, 2.0, 1601, 1.0),
+        ],
+    )
+    def test_atomic_bench_energies_keep_their_bits(self, kernel, a, b, n, sigma_sq):
+        # the atomic bench solve files: the energy is x' M_SS x from the
+        # face's block, so FFT rounding in g off the face cannot reach it
+        result = solve(discretize(kernel, Grid(a, b, n)), tol=1e-9, max_iter=200_000)
+        assert result.converged
+        assert result.energy.hex() == sigma_sq.hex()
 
 
 def _dense_solve(M, tol, max_iter):
@@ -505,7 +561,7 @@ class TestSolve:
             np.linalg.solve(kkt, np.eye(5)[4])
         w = np.full(4, 0.25)
         start = float(w @ matrix @ w)
-        face, x, _ = _face_minimum(matrix, np.arange(4), w)
+        face, x = _face_minimum(matrix, np.arange(4), w)
         assert np.all(np.isfinite(x))
         energy_after = float(x @ matrix[np.ix_(face, face)] @ x)
         assert energy_after <= start
@@ -520,34 +576,33 @@ class TestSolve:
         assert result.energy == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_face_rows_kept_when_sorted_and_nothing_drops(self):
-        # a face already in grid order that keeps every node hands back
-        # its rows object, not a copy
+        # a face that keeps every node comes back whole and in grid order,
+        # and the block it was given is read, never written
         matrix = np.diag([1.0, 2.0, 3.0])
-        face, x, rows = _face_minimum(matrix, np.arange(3), np.array([1.0, 0.0, 0.0]))
-        assert rows is matrix
+        matrix.flags.writeable = False
+        face, x = _face_minimum(matrix, np.arange(3), np.array([1.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(matrix, np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(face, np.arange(3))
         np.testing.assert_allclose(x, np.array([6.0, 3.0, 2.0]) / 11.0, rtol=1e-15)
 
-    def test_single_node_fallback_round_converges(self):
+    def test_single_node_fallback_round_converges(self, monkeypatch):
         # H = 1/2 noise at seeded random nodes: near the optimum the KKT
         # systems are ill-conditioned, a batch round fails to lower the
         # energy at rounding level, and a single-node round must follow
         kernel = FractionalGaussianNoise(0.5, 1.0)
         t = np.sort(np.random.default_rng(0).uniform(0.0, 1.5, 100))
         matrix = kernel.cov(t[:, None], t[None, :])
-        problem = _problem(matrix)
-        read = problem.rows
+        face_minimum = solver._face_minimum
         added = []
 
-        # solve reads the start row, then the rows each round adds, once
-        def recording(idx):
-            added.append(np.size(idx))
-            return read(idx)
+        # each round solves its face once; the nodes it added carry weight 0
+        def recording(block, face, cur):
+            added.append(np.count_nonzero(cur == 0.0))
+            return face_minimum(block, face, cur)
 
-        problem.rows = recording
-        result = solve(problem, tol=1e-12, max_iter=100)
-        start, *added = added
-        assert start == 1 and len(added) == result.iterations
+        monkeypatch.setattr(solver, "_face_minimum", recording)
+        result = solve(_problem(matrix), tol=1e-12, max_iter=100)
+        assert len(added) == result.iterations
         # round r + 1 did not lower the energy, so round r + 2 is a fallback
         not_lowered = np.flatnonzero(np.diff(result.energy_trace) >= 0.0)
         fallbacks = not_lowered[not_lowered + 1 < result.iterations] + 1
@@ -582,7 +637,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("n", [2, 41])
     def test_zero_variance_start_converges_at_once(self, n):
-        # Brownian motion vanishes at 0, the start node: its row of M is
+        # Brownian motion vanishes at 0, the start node: its column of M is
         # zero, so the Dirac there is optimal and no face is ever factored
         result = solve(discretize(BrownianMotion(), Grid(0.0, 0.5, n)), tol=1e-9)
         assert result.converged
@@ -662,34 +717,38 @@ class TestFactoredFace:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_added_order_does_not_matter(self, seed):
-        # solve inserts each round's new nodes at their grid positions, so
-        # two rounds on a face grown from nodes picked in shuffled order
-        # give the same bits as on the same face with its rows read at once
+        # solve inserts each round's new nodes at their grid positions and
+        # gathers the face's block afresh, so two rounds on a face grown
+        # from nodes picked in shuffled order give the same bits as on the
+        # same face cut from one block of every picked node, in pick order
         prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, 401))
         rng = np.random.default_rng(seed)
-        picked = rng.choice(np.arange(1, 401), 50, replace=False)
-        nodes, x, rows = np.array([0]), np.ones(1), prob.rows(np.array([0]))
+        picked = np.r_[0, rng.choice(np.arange(1, 401), 50, replace=False)]
+        everything = prob.block(picked)
+        nodes, x = np.array([0]), np.ones(1)
         inside = False
-        for batch in np.split(picked, 2):
+        for batch in np.split(picked[1:], 2):
             new = np.sort(batch)
             at = np.searchsorted(nodes, new)
             inside |= bool(np.any(at < nodes.size))
             nodes = np.insert(nodes, at, new)
             x = np.insert(x, at, 0.0)
-            rows = np.insert(rows, at, prob.rows(new), axis=0)
             assert np.all(np.diff(nodes) > 0)
-            grown = _face_minimum(rows, nodes, x)
-            read = _face_minimum(prob.rows(nodes), nodes, x)
+            where = np.argsort(picked)[np.searchsorted(np.sort(picked), nodes)]
+            cut = everything[np.ix_(where, where)]
+            assert _same_bits(prob.block(nodes), cut)
+            grown = _face_minimum(prob.block(nodes), nodes, x)
+            read = _face_minimum(cut, nodes, x)
             for got, want in zip(grown, read):
                 assert _same_bits(got, want)
-            nodes, x, rows = grown
+            nodes, x = grown
         # some node went in between nodes already on the face
         assert inside
 
     def test_face_stays_in_grid_order(self, monkeypatch):
         # solve inserts each round's new nodes at their grid positions, so
-        # every face _face_minimum sees is strictly increasing and its rows
-        # are the problem's rows in that order
+        # every face _face_minimum sees is strictly increasing and its block
+        # is the matrix's block on that face, bit for bit
         n = 401
         t = np.linspace(1.0, 2.0, n)
         table = Tabulated(t, FractionalBM(0.3).cov(t[:, None], t[None, :]))
@@ -703,11 +762,11 @@ class TestFactoredFace:
             prob = discretize(kernel, grid)
             rounds = []
 
-            def checking(rows, face, cur):
+            def checking(block, face, cur):
                 rounds.append(face.size)
                 assert np.all(np.diff(face) > 0)
-                assert _same_bits(rows, prob.rows(face))
-                return face_minimum(rows, face, cur)
+                assert _same_bits(block, prob.matrix[np.ix_(face, face)])
+                return face_minimum(block, face, cur)
 
             monkeypatch.setattr(solver, "_face_minimum", checking)
             result = solve(prob, tol=1e-9)
@@ -788,12 +847,26 @@ class TestWholeGrid:
 
     @pytest.mark.parametrize("n", [401, 1601])
     def test_gradient_is_the_matrix_product(self, n):
-        for kernel, a, b in self.ROUGH:
+        # g = 2 product(w) lies within the bound solve states,
+        # 2 eps log2(size) sum|lags|, of 2 M w: for the whole-grid step's
+        # weights, the solver's and a random probability vector
+        cases = [(FractionalGaussianNoise(H, 1.0), 0.0, 3.0) for H in (0.3, 0.5, 0.75)]
+        cases += [(FractionalBM(H), 1.0, 2.0) for H in (0.3, 0.75)]
+        cases += [(BrownianMotion(), 1.0, 2.0)]
+        rng = np.random.default_rng(n)
+        eps = np.finfo(float).eps
+        for kernel, a, b in cases:
             prob = discretize(kernel, Grid(a, b, n))
-            w, g = solver._whole_grid(prob, 1e-9)
-            np.testing.assert_allclose(
-                g, 2.0 * w @ prob.matrix, rtol=0.0, atol=1e-13 * np.max(np.abs(g))
-            )
+            size = prob._circulant[0]
+            bound = 2.0 * eps * np.log2(size) * np.sum(np.abs(prob.lags))
+            weights = [solve(prob, tol=1e-9).weights, rng.dirichlet(np.ones(n))]
+            step = solver._whole_grid(prob, 1e-9)
+            if step is not None:
+                w, g = step
+                np.testing.assert_allclose(g, 2.0 * w @ prob.matrix, rtol=0.0, atol=bound)
+            for w in weights:
+                g = 2.0 * prob.product(w)
+                np.testing.assert_allclose(g, 2.0 * w @ prob.matrix, rtol=0.0, atol=bound)
 
     @pytest.mark.parametrize(
         "kernel, a, b, n",
@@ -811,13 +884,15 @@ class TestWholeGrid:
         ],
     )
     def test_not_tried_when_the_minimizer_is_atomic_or_drops(self, kernel, a, b, n, monkeypatch):
-        # the H >= 1/2 bench run files end on faces of at most 3 nodes, and
-        # H = 1/2 noise drops nodes in its first round; the clustered
-        # supports of H = 0.75 and 0.9 grow to 11 nodes or more before a
-        # drop, but their faces keep a gap of a third of the grid or more
+        # the H > 1/2 bench run files end on faces of at most 3 nodes; the
+        # clustered supports of H = 0.75 and 0.9 grow to 11 nodes or more
+        # before a drop, but their faces keep a gap of a third of the grid
+        # or more.  H = 1/2 noise adds one node per flat stretch of g, so
+        # its first face spreads before a drop: the step is tried once and
+        # rejected, since its minimizer is atomic
         steps = self._spy(monkeypatch)
         assert solve(discretize(kernel, Grid(a, b, n)), tol=1e-9).converged
-        assert steps == []
+        assert steps == ([None] if kernel.stationary and kernel.base.H == 0.5 else [])
 
     @pytest.mark.parametrize("n", [401, 1601])
     @pytest.mark.parametrize(
@@ -859,12 +934,14 @@ class TestWholeGrid:
         result = solve(prob, tol=1e-9)
         with _threads.one_blas_thread():
             weights, trace, iterations, energy_ = _dense_solve(prob.matrix, 1e-9, 200_000)
+        # the rounds go on to the dense loop's minimizer; they add one node
+        # per stretch of g flat up to rounding, where the dense loop adds
+        # every tie, so the traces differ before the end
         assert steps == [None]
         assert result.converged
-        assert result.iterations == iterations
         np.testing.assert_array_equal(result.weights > 0.0, weights > 0.0)
         eps = np.finfo(float).eps
-        np.testing.assert_allclose(result.energy_trace, trace, rtol=8.0 * eps, atol=0.0)
+        np.testing.assert_allclose(result.energy_trace[-1], trace[-1], rtol=8.0 * eps, atol=0.0)
         assert abs(result.energy - energy_) <= 8.0 * eps * abs(energy_)
 
     @pytest.mark.parametrize("L", [1.0, 3.0])
@@ -886,10 +963,18 @@ class TestWholeGrid:
         assert excess[1] * 10.0 <= excess[0]
 
     def test_large_grid_in_linear_memory(self):
-        # the matrix would take 5.2 GB; the rounds before the step hold
-        # the rows of a face of a few dozen nodes at most
+        # the matrix would take 5.2 GB; a round holds the block of its face
+        # and O(n) vectors.  The rough kernels fill the grid after a few
+        # rounds on faces of a few dozen nodes; the clustered support of
+        # H = 0.75 on [0, 1.75] and the H = 1/2 support on [0, 3] end on
+        # faces of about 950 and 45 nodes (the rows of those faces took
+        # 1,902 and over 9,000 n-vectors)
         n = 25_601
-        for kernel, a, b in self.ROUGH:
+        cases = [(kernel, a, b, 100) for kernel, a, b in self.ROUGH] + [
+            (FractionalGaussianNoise(0.75, 1.0), 0.0, 1.75, 200),
+            (FractionalGaussianNoise(0.5, 1.0), 0.0, 3.0, 200),
+        ]
+        for kernel, a, b, vectors in cases:
             tracemalloc.start()
             try:
                 prob = discretize(kernel, Grid(a, b, n))
@@ -899,9 +984,19 @@ class TestWholeGrid:
                 tracemalloc.stop()
             assert result.converged
             assert result.equilibrium_gap <= 1e-9
-            assert np.all(result.weights > 0.0)
             assert "matrix" not in vars(prob)
-            assert peak < 100 * 8 * n
+            assert peak < vectors * 8 * n, kernel
+            if vectors == 100:
+                assert np.all(result.weights > 0.0)
+        # on the aligned grid h = 1 is 2048 steps: H = 1/2 noise on [0, 3]
+        # has Slepian's minimizer, four atoms a step h apart with energy
+        # Gamma(0) / 4
+        grid = Grid(0.0, 3.0, 6145)
+        result = solve(discretize(FractionalGaussianNoise(0.5, 1.0), grid), tol=1e-9)
+        assert result.converged
+        assert result.iterations <= 5
+        np.testing.assert_array_equal(grid.nodes[result.weights > 0.0], [0.0, 1.0, 2.0, 3.0])
+        assert abs(result.energy - 0.25) <= 8.0 * np.finfo(float).eps * 0.25
 
 
 class TestExtractMeasure:
