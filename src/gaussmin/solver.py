@@ -31,7 +31,7 @@ _face_minimum) and forms g from one product M w.
 
 For stationary kernels and for fBm, Brownian motion included, M is a
 Toeplitz matrix T plus the rank-two term (u 1' + 1 u') / 2, with u = 0
-for stationary kernels, so M w is an FFT of O(n) vectors (see
+for stationary kernels, so M w is a sum of a few columns of T or an FFT (see
 DiscretizedProblem).  Rough kernels (H < 1/2) have minimizers that fill
 the grid, so their rounds would grow the face until it is all of M.
 Once a round ends on a face spread across the grid (see _spreads)
@@ -60,6 +60,8 @@ from .measures import DiscreteMeasure, Grid
 
 __all__ = ["DiscretizedProblem", "SolverResult", "discretize", "solve", "extract_measure"]
 
+# product(v) sums T's columns when v has at most this many nonzeros: cheaper than an FFT
+_COLUMNS = 8
 # conjugate gradient steps before the whole-grid step gives up
 _CG_STEPS = 100
 # nodes a face needs before it can be seen to spread (see _spreads)
@@ -93,33 +95,36 @@ class DiscretizedProblem:
     @cached_property
     def _circulant(self):
         # size, the power of two at least 2n - 1, the spectrum of the
-        # circulant of that order whose leading n x n block is T, and u
+        # circulant of that order whose leading n x n block is T / scale,
+        # and scale, a power of two near max|lags| that keeps the spectrum
+        # finite and changes no bits
         n = self.lags.size
         size = 1 << (2 * n - 2).bit_length()
+        scale = 2.0 ** np.frexp(np.max(np.abs(self.lags)))[1]
         column = np.concatenate((self.lags, np.zeros(size - 2 * n + 1), self.lags[:0:-1]))
-        return size, np.fft.rfft(column), self.diagonal - self.lags[0]
+        return size, np.fft.rfft(column / scale), scale
 
     def product(self, v):
-        """M v: matrix @ v without lags, else T v + (u sum(v) + (u'v) 1) / 2 by FFT."""
+        """M v: matrix @ v without lags, else T v + (u sum(v) + (u'v) 1) / 2, with T v
+        the sum of T's columns on v's support up to _COLUMNS nodes, else an FFT."""
         if self.lags is None:
             return self.matrix @ v
-        size, spectrum, u = self._circulant
-        out = np.fft.irfft(spectrum * np.fft.rfft(v, size), size)[: v.size]
-        out += 0.5 * (u * v.sum() + u @ v)
-        return out
+        support = np.flatnonzero(v)
+        if support.size <= _COLUMNS:
+            out = self.lags[np.abs(np.arange(v.size)[:, None] - support)] @ v[support]
+        else:
+            size, spectrum, scale = self._circulant
+            out = np.fft.irfft(spectrum * np.fft.rfft(v, size), size)[: v.size] * scale
+        u = self.diagonal - self.lags[0]
+        return out + 0.5 * (u * v.sum() + u @ v)
 
 
 def _toeplitz(lags):
-    """Read-only n x n view whose entry (i, j) is lags[|i - j|]."""
+    """block(face) of the matrix lags[|i - j|]: a read-only view for a slice, else a gather."""
     # row i of the reversed windows over (c_{n-1}, ..., c_1, c_0, ..., c_{n-1})
     # is c_{|i - j|}, j = 0..n-1
-    both = np.concatenate((lags[:0:-1], lags))
-    return sliding_window_view(both, lags.size)[::-1]
-
-
-def _pairs(face):
-    """Index of the block [face][:, face]: a view for a slice, else a gather."""
-    return (face, face) if isinstance(face, slice) else np.ix_(face, face)
+    view = sliding_window_view(np.concatenate((lags[:0:-1], lags)), lags.size)[::-1]
+    return lambda face: view[(face, face) if isinstance(face, slice) else np.ix_(face, face)]
 
 
 def discretize(kernel, grid):
@@ -151,11 +156,7 @@ def discretize(kernel, grid):
         lags = finite_values(
             lambda: np.asarray(kernel.gamma(t - t[0]), dtype=float), overflow
         )
-        toeplitz = _toeplitz(lags)
-
-        def block(face):
-            return toeplitz[_pairs(face)]
-
+        block = _toeplitz(lags)
         diagonal = np.broadcast_to(lags[0], t.shape)
     elif isinstance(kernel, FractionalBM) and kernel.H != 0.5:
         v = finite_values(lambda: kernel.variance(t), overflow)
@@ -165,11 +166,11 @@ def discretize(kernel, grid):
 
         def block(face):
             out = np.add.outer(v[face], v[face])
-            out -= toeplitz[_pairs(face)]
+            out -= toeplitz(face)
             out *= 0.5
             return out
 
-        diagonal = finite_values(lambda: 0.5 * ((v + v) - toeplitz[0, 0]), overflow)
+        diagonal = finite_values(lambda: 0.5 * ((v + v) - lag_variance[0]), overflow)
     else:
 
         def block(face):
@@ -255,7 +256,6 @@ def solve(problem, tol=1e-9, max_iter=200_000):
     single = False
     converged = False
     whole = problem.lags is not None
-    eps = np.finfo(float).eps
     while iterations < max_iter:
         lam = float(w @ g)
         s = int(np.argmin(g))
@@ -275,7 +275,7 @@ def solve(problem, tol=1e-9, max_iter=200_000):
             added = np.array([s])
         else:
             # local minima of g along the grid, ends included, up to rounding
-            e = 64.0 * eps * float(np.max(np.abs(g)))
+            e = 64.0 * np.finfo(float).eps * float(np.max(np.abs(g)))
             local = g < lam - e
             local[1:] &= g[1:] < g[:-1] - e
             local[:-1] &= g[:-1] <= g[1:] + e
@@ -413,7 +413,8 @@ def _whole_grid(problem, tol):
     not positive definite, or the gap <g, w> - min g exceeds tol.
     """
     lags = problem.lags
-    size, _, u = problem._circulant
+    size = problem._circulant[0]
+    u = problem.diagonal - lags[0]
     n = lags.size
     k = np.arange(n)
     chan = np.fft.rfft(((n - k) * lags + k * np.r_[0.0, lags[:0:-1]]) / n).real

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,12 @@ def _same_bits(a, b):
 
 
 class TestRows:
+    """The block/product contract: block(face) is M[face][:, face] bit for
+    bit, product(v) is M v, and solve reads nothing else.
+
+    The class keeps the name it had when solve read M by rows.
+    """
+
     @pytest.mark.parametrize("kind", ["fgn", "increment", "fbm", "bm", "tabulated"])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -279,22 +286,52 @@ class TestRows:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_product_is_the_matrix_product(self, kind, H, a, width, n, seed):
-        # product(v) is M v: the matrix product without lags, else an FFT
-        # product within eps log2(size) sum|lags| of M v for a probability
-        # vector, the bound solve states (size <= 4n)
+        # product(v) is M v: the matrix product without lags, else a sum of
+        # T's columns (at most solver._COLUMNS nonzeros) or an FFT product,
+        # within eps log2(size) sum|lags| of M v for a probability vector,
+        # the bound solve states (size <= 4n)
         grid = Grid(a, a + width, n)
         prob = discretize(_kernel_on(kind, H, grid), grid)
-        w = np.random.default_rng(seed).dirichlet(np.ones(n))
-        got = prob.product(w)
-        if prob.lags is None:
-            assert "matrix" in vars(prob)
-            assert _same_bits(got, prob.matrix @ w)
-            return
-        assert "matrix" not in vars(prob)
-        bound = np.finfo(float).eps * np.log2(4 * n) * np.sum(np.abs(prob.lags))
-        # the reference product rounds too, by n eps max|M| at most
-        bound += n * np.finfo(float).eps * np.max(np.abs(prob.matrix))
-        assert np.max(np.abs(got - prob.matrix @ w)) <= bound
+        rng = np.random.default_rng(seed)
+        k = min(n, solver._COLUMNS)
+        sparse = np.zeros(n)
+        sparse[rng.choice(n, k, replace=False)] = rng.dirichlet(np.ones(k))
+        for w in (rng.dirichlet(np.ones(n)), sparse):
+            got = prob.product(w)
+            if prob.lags is None:
+                assert "matrix" in vars(prob)
+                assert _same_bits(got, prob.matrix @ w)
+                continue
+            assert "matrix" not in vars(prob)
+            bound = np.finfo(float).eps * np.log2(4 * n) * np.sum(np.abs(prob.lags))
+            # the reference product rounds too, by n eps max|M| at most
+            bound += n * np.finfo(float).eps * np.max(np.abs(prob.matrix))
+            assert np.max(np.abs(got - prob.matrix @ w)) <= bound
+            del prob.matrix
+
+    @pytest.mark.parametrize(
+        "kernel, a, b",
+        [
+            (BrownianMotion(), 1e306, 8e307),
+            (FractionalGaussianNoise(0.5, 1e307), 0.0, 1.0),
+            (FractionalBM(0.75), 1e200, 3e204),
+        ],
+    )
+    def test_product_near_the_float_range(self, kernel, a, b):
+        # entries near the float range: the spectrum sums up to 4n of them,
+        # so it must be scaled to stay finite.  Each minimizer is the Dirac
+        # at the start node
+        n = 401
+        prob = discretize(kernel, Grid(a, b, n))
+        w = np.random.default_rng(0).dirichlet(np.ones(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = prob.product(w)
+            result = solve(prob, tol=1e-9)
+        want = prob.matrix @ w
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(want))
+        assert result.energy == np.min(prob.diagonal)
+        assert np.flatnonzero(result.weights).tolist() == [np.argmin(prob.diagonal)]
 
     @pytest.mark.parametrize(
         "kernel, a, b",
@@ -318,9 +355,7 @@ class TestRows:
 
     def test_dense_rounds_peak_memory(self):
         # H = 1/2 noise drops nodes, and every round solves its face system
-        # by a dense LU; the bound was set when a face held its rows, k x n
-        # floats, and a second copy of them made on entry would have raised
-        # the peak past it.  A face now holds its k x k block
+        # by a dense LU on the k x k block of its face
         n = 1601
         prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, n))
         tracemalloc.start()
@@ -967,8 +1002,7 @@ class TestWholeGrid:
         # and O(n) vectors.  The rough kernels fill the grid after a few
         # rounds on faces of a few dozen nodes; the clustered support of
         # H = 0.75 on [0, 1.75] and the H = 1/2 support on [0, 3] end on
-        # faces of about 950 and 45 nodes (the rows of those faces took
-        # 1,902 and over 9,000 n-vectors)
+        # faces of about 950 and 45 nodes
         n = 25_601
         cases = [(kernel, a, b, 100) for kernel, a, b in self.ROUGH] + [
             (FractionalGaussianNoise(0.75, 1.0), 0.0, 1.75, 200),
