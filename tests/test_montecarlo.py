@@ -71,7 +71,7 @@ def _stream_minima(seed, trials, factor, floor=-np.inf):
 
 def _problem(matrix):
     matrix = np.asarray(matrix, dtype=float)
-    return DiscretizedProblem(None, lambda face: matrix[face][:, face], np.diagonal(matrix))
+    return DiscretizedProblem(None, lambda rows, cols: matrix[rows][:, cols], np.diagonal(matrix))
 
 
 class TestFactorize:

@@ -46,7 +46,7 @@ def _problem(matrix):
     grid = Grid(0.0, 1.0, n)
     matrix = 0.5 * (matrix + matrix.T)
     matrix.flags.writeable = False
-    return DiscretizedProblem(grid, lambda face: matrix[face][:, face], np.diagonal(matrix))
+    return DiscretizedProblem(grid, lambda rows, cols: matrix[rows][:, cols], np.diagonal(matrix))
 
 
 class TestDiscretize:
@@ -230,10 +230,9 @@ def _same_bits(a, b):
 
 
 class TestRows:
-    """The block/product contract: block(face) is M[face][:, face] bit for
-    bit, product(v) is M v, and solve reads nothing else.
-
-    The class keeps the name it had when solve read M by rows.
+    """The entries/product contract: entries(rows, cols) is M[rows][:, cols]
+    bit for bit, a face's block entries(face, face) among them, product(v)
+    is M v, and solve reads nothing else.
     """
 
     @pytest.mark.parametrize("kind", ["fgn", "increment", "fbm", "bm", "tabulated"])
@@ -247,17 +246,22 @@ class TestRows:
     )
     def test_rows_are_the_matrix_rows(self, kind, H, a, width, n, data):
         # each row of a face's block is the matrix row of its node, read on
-        # the face: the block is M[face][:, face] bit for bit
+        # the face: the block is M[face][:, face] bit for bit, and the
+        # face's rows, which solve's gradient reads, are M[face]
         grid = Grid(a, a + width, n)
         prob = discretize(_kernel_on(kind, H, grid), grid)
         picked = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
-        # blocks read before the whole matrix exists, as solve reads them
+        # entries read before the whole matrix exists, as solve reads them
         faces = [np.unique(picked), np.array(picked)]
-        blocks = [prob.block(face) for face in faces]
+        blocks = [prob.entries(face, face) for face in faces]
+        rows = [prob.entries(face, slice(None)) for face in faces]
+        columns = prob.entries(slice(None), faces[1])
         matrix = prob.matrix
-        for face, block in zip(faces, blocks):
-            for row, i in zip(block, face):
+        for face, block, full in zip(faces, blocks, rows):
+            for row, whole, i in zip(block, full, face):
                 assert _same_bits(row, matrix[i, face]), (i, face)
+                assert _same_bits(whole, matrix[i]), i
+        assert _same_bits(columns, matrix[:, faces[1]])
         assert _same_bits(prob.diagonal, np.diagonal(matrix))
         assert prob.matrix is matrix
         # where lags is set, M[i, j] = lags[|i - j|] + (u_i + u_j) / 2 with
@@ -286,14 +290,13 @@ class TestRows:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_product_is_the_matrix_product(self, kind, H, a, width, n, seed):
-        # product(v) is M v: the matrix product without lags, else a sum of
-        # T's columns (at most solver._COLUMNS nonzeros) or an FFT product,
-        # within eps log2(size) sum|lags| of M v for a probability vector,
-        # the bound solve states (size <= 4n)
+        # product(v) is M v: the matrix product without lags, else an FFT
+        # product, within eps log2(size) sum|lags| of M v for a probability
+        # vector, the bound solve states (size <= 4n), dense or not
         grid = Grid(a, a + width, n)
         prob = discretize(_kernel_on(kind, H, grid), grid)
         rng = np.random.default_rng(seed)
-        k = min(n, solver._COLUMNS)
+        k = min(n, 8)
         sparse = np.zeros(n)
         sparse[rng.choice(n, k, replace=False)] = rng.dirichlet(np.ones(k))
         for w in (rng.dirichlet(np.ones(n)), sparse):
@@ -320,7 +323,8 @@ class TestRows:
     def test_product_near_the_float_range(self, kernel, a, b):
         # entries near the float range: the spectrum sums up to 4n of them,
         # so it must be scaled to stay finite.  Each minimizer is the Dirac
-        # at the start node
+        # at the start node, whose gradient is read from its row of M, so
+        # its gap is exactly 0 and the absolute tolerance is met
         n = 401
         prob = discretize(kernel, Grid(a, b, n))
         w = np.random.default_rng(0).dirichlet(np.ones(n))
@@ -330,6 +334,8 @@ class TestRows:
             result = solve(prob, tol=1e-9)
         want = prob.matrix @ w
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(want))
+        assert result.converged
+        assert result.equilibrium_gap == 0.0
         assert result.energy == np.min(prob.diagonal)
         assert np.flatnonzero(result.weights).tolist() == [np.argmin(prob.diagonal)]
 
@@ -339,8 +345,8 @@ class TestRows:
     )
     def test_atomic_minimizer_never_builds_the_matrix(self, kernel, a, b):
         # the left-endpoint Dirac and the three-point measure read the
-        # blocks of faces of one to three nodes and O(n) products, never
-        # the 20 MB matrix
+        # blocks and rows of faces of one to three nodes, never the 20 MB
+        # matrix
         n = 1601
         tracemalloc.start()
         try:
@@ -352,6 +358,18 @@ class TestRows:
         assert result.converged
         assert "matrix" not in vars(prob)
         assert peak < 0.05 * 8 * n * n
+
+    def test_atomic_table_minimizer_never_builds_the_matrix(self):
+        # a table's product is matrix @ v, but the Dirac at the left end
+        # reads one row of the table for its gradient and no product
+        n = 401
+        t = np.linspace(1.0, 2.0, n)
+        table = Tabulated(t, FractionalBM(0.75).cov(t[:, None], t[None, :]))
+        prob = discretize(table, Grid(1.0, 2.0, n))
+        result = solve(prob, tol=1e-9)
+        assert result.converged
+        assert np.flatnonzero(result.weights).tolist() == [0]
+        assert "matrix" not in vars(prob)
 
     def test_dense_rounds_peak_memory(self):
         # H = 1/2 noise drops nodes, and every round solves its face system
@@ -432,8 +450,8 @@ class TestRows:
         ],
     )
     def test_atomic_bench_energies_keep_their_bits(self, kernel, a, b, n, sigma_sq):
-        # the atomic bench solve files: the energy is x' M_SS x from the
-        # face's block, so FFT rounding in g off the face cannot reach it
+        # the atomic bench solve files: g is read from the face's rows of
+        # M with a dense loop's operations, so the energy keeps its bits
         result = solve(discretize(kernel, Grid(a, b, n)), tol=1e-9, max_iter=200_000)
         assert result.converged
         assert result.energy.hex() == sigma_sq.hex()
@@ -596,7 +614,7 @@ class TestSolve:
             np.linalg.solve(kkt, np.eye(5)[4])
         w = np.full(4, 0.25)
         start = float(w @ matrix @ w)
-        face, x = _face_minimum(matrix, np.arange(4), w)
+        face, x, _ = _face_minimum(matrix, np.arange(4), w)
         assert np.all(np.isfinite(x))
         energy_after = float(x @ matrix[np.ix_(face, face)] @ x)
         assert energy_after <= start
@@ -612,11 +630,12 @@ class TestSolve:
 
     def test_face_rows_kept_when_sorted_and_nothing_drops(self):
         # a face that keeps every node comes back whole and in grid order,
-        # and the block it was given is read, never written
+        # with its block, and the block it was given is read, never written
         matrix = np.diag([1.0, 2.0, 3.0])
         matrix.flags.writeable = False
-        face, x = _face_minimum(matrix, np.arange(3), np.array([1.0, 0.0, 0.0]))
+        face, x, block = _face_minimum(matrix, np.arange(3), np.array([1.0, 0.0, 0.0]))
         np.testing.assert_array_equal(matrix, np.diag([1.0, 2.0, 3.0]))
+        assert _same_bits(block, matrix)
         np.testing.assert_array_equal(face, np.arange(3))
         np.testing.assert_allclose(x, np.array([6.0, 3.0, 2.0]) / 11.0, rtol=1e-15)
 
@@ -759,7 +778,7 @@ class TestFactoredFace:
         prob = discretize(FractionalGaussianNoise(0.5, 1.0), Grid(0.0, 3.0, 401))
         rng = np.random.default_rng(seed)
         picked = np.r_[0, rng.choice(np.arange(1, 401), 50, replace=False)]
-        everything = prob.block(picked)
+        everything = prob.entries(picked, picked)
         nodes, x = np.array([0]), np.ones(1)
         inside = False
         for batch in np.split(picked[1:], 2):
@@ -771,19 +790,21 @@ class TestFactoredFace:
             assert np.all(np.diff(nodes) > 0)
             where = np.argsort(picked)[np.searchsorted(np.sort(picked), nodes)]
             cut = everything[np.ix_(where, where)]
-            assert _same_bits(prob.block(nodes), cut)
-            grown = _face_minimum(prob.block(nodes), nodes, x)
+            assert _same_bits(prob.entries(nodes, nodes), cut)
+            grown = _face_minimum(prob.entries(nodes, nodes), nodes, x)
             read = _face_minimum(cut, nodes, x)
             for got, want in zip(grown, read):
                 assert _same_bits(got, want)
-            nodes, x = grown
+            nodes, x, block = grown
+            assert _same_bits(block, prob.entries(nodes, nodes))
         # some node went in between nodes already on the face
         assert inside
 
     def test_face_stays_in_grid_order(self, monkeypatch):
         # solve inserts each round's new nodes at their grid positions, so
         # every face _face_minimum sees is strictly increasing and its block
-        # is the matrix's block on that face, bit for bit
+        # is the matrix's block on that face, bit for bit; so is the block
+        # it returns with the face left after its drops
         n = 401
         t = np.linspace(1.0, 2.0, n)
         table = Tabulated(t, FractionalBM(0.3).cov(t[:, None], t[None, :]))
@@ -801,7 +822,9 @@ class TestFactoredFace:
                 rounds.append(face.size)
                 assert np.all(np.diff(face) > 0)
                 assert _same_bits(block, prob.matrix[np.ix_(face, face)])
-                return face_minimum(block, face, cur)
+                face, cur, block = face_minimum(block, face, cur)
+                assert _same_bits(block, prob.matrix[np.ix_(face, face)])
+                return face, cur, block
 
             monkeypatch.setattr(solver, "_face_minimum", checking)
             result = solve(prob, tol=1e-9)
@@ -892,7 +915,7 @@ class TestWholeGrid:
         eps = np.finfo(float).eps
         for kernel, a, b in cases:
             prob = discretize(kernel, Grid(a, b, n))
-            size = prob._circulant[0]
+            size = solver._order(n)
             bound = 2.0 * eps * np.log2(size) * np.sum(np.abs(prob.lags))
             weights = [solve(prob, tol=1e-9).weights, rng.dirichlet(np.ones(n))]
             step = solver._whole_grid(prob, 1e-9)
@@ -999,10 +1022,10 @@ class TestWholeGrid:
 
     def test_large_grid_in_linear_memory(self):
         # the matrix would take 5.2 GB; a round holds the block of its face
-        # and O(n) vectors.  The rough kernels fill the grid after a few
-        # rounds on faces of a few dozen nodes; the clustered support of
-        # H = 0.75 on [0, 1.75] and the H = 1/2 support on [0, 3] end on
-        # faces of about 950 and 45 nodes
+        # and the rows of a small face or O(n) vectors.  The rough kernels
+        # fill the grid after a few rounds on faces of a few dozen nodes;
+        # the clustered support of H = 0.75 on [0, 1.75] and the H = 1/2
+        # support on [0, 3] end on faces of about 950 and 45 nodes
         n = 25_601
         cases = [(kernel, a, b, 100) for kernel, a, b in self.ROUGH] + [
             (FractionalGaussianNoise(0.75, 1.0), 0.0, 1.75, 200),
