@@ -202,17 +202,19 @@ def audit_second_case(kernel, h, n=512):
     scale = max(1.0, float(np.max(np.abs(curve))))
     signs = np.sign(diffs)
     signs[np.abs(diffs) <= SIGN_TOL * scale] = 0.0
-    signs = signs[signs != 0.0]
+    # flips index the signed differences; kept maps them back to t
+    kept = np.flatnonzero(signs)
+    signs = signs[kept]
     flips = np.flatnonzero(signs[1:] != signs[:-1])
     count = int(flips.size)
 
     shape_ok = count == 0 or (count == 1 and signs[0] > 0.0 > signs[-1])
-    passed = cstar > 0.0 and shape_ok
+    passed = bool(cstar > 0.0 and shape_ok)
     if shape_ok:
         worst = cstar
     else:
         worst = -float(max(count - 1, 1))
-    witness = (float(t[0]),) if count == 0 else (float(t[flips[0] + 1]),)
+    witness = (float(t[0]),) if count == 0 else (float(t[kept[flips[0] + 1]]),)
     return AssumptionReport(
         name="second_case",
         passed=passed,

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import audits
 from .config import load_config
-from .energy import _rate, check_optimality, energy
+from .energy import check_optimality, energy, rate
 from .errors import (
     ConfigError,
     DegenerateKernelError,
@@ -88,11 +88,14 @@ def _certify(cfg, mu, tol):
     """Equilibrium-check mu on the configured grid.
 
     Returns the exit code, the summary from sigma_sq on, and potential.csv.
+    The rate of an energy that rounds below zero, as a table accepted with a
+    rounding-level negative eigenvalue allows, is that of zero variance.
     """
     a, b = cfg.interval()
-    report = check_optimality(cfg.kernel, mu, Grid(a, b, cfg.n), tol=tol)
+    grid = Grid(a, b, cfg.n)
+    report = check_optimality(cfg.kernel, mu, grid, tol=tol)
     pairs = (
-        [("sigma_sq", report.energy), ("rate", _rate(report.energy))]
+        [("sigma_sq", report.energy), ("rate", rate(max(report.energy, 0.0)))]
         + _measure_pairs(mu)
         + [
             ("energy", report.energy),
@@ -104,8 +107,7 @@ def _certify(cfg, mu, tol):
             ("verified", report.passed),
         ]
     )
-    prof = report.potential
-    columns = (prof.grid.nodes, prof.values)
+    columns = (grid.nodes, report.potential)
     files = [("potential.csv", lambda path: write_csv(path, ("t", "phi"), columns))]
     return (EXIT_OK if report.passed else EXIT_CHECK_FAILED), pairs, files
 
@@ -142,7 +144,7 @@ def cmd_solve(cfg, out_dir, args):
         + [
             ("grid_n", cfg.n),
             ("sigma_sq", sigma_sq),
-            ("rate", _rate(sigma_sq)),
+            ("rate", rate(max(sigma_sq, 0.0))),  # as in _certify
             ("equilibrium_gap", result.equilibrium_gap),
             ("iterations", result.iterations),
             ("converged", result.converged),
@@ -210,7 +212,7 @@ def cmd_simulate(cfg, out_dir, args):
         ("grid_n", cfg.n),
         ("trials", cfg.trials),
         ("seed", cfg.mc_seed),
-        ("theoretical_rate", "" if sigma_sq is None else _rate(sigma_sq)),
+        ("theoretical_rate", "" if sigma_sq is None else rate(sigma_sq)),
         ("levels", ";".join(repr(float(x)) for x in est.u)),
         ("normalized_log_tail", ";".join(repr(float(x)) for x in est.log_p_over_u2)),
         ("flagged_levels", int(np.count_nonzero(est.flagged))),

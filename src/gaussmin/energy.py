@@ -20,10 +20,8 @@ import numpy as np
 
 from . import _threads
 from .kernels import finite_values
-from .measures import Grid
 
 __all__ = [
-    "PotentialProfile",
     "OptimalityReport",
     "energy",
     "potential",
@@ -46,22 +44,14 @@ def energy(kernel, mu):
     return _support_energy(kernel, mu)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialProfile:
-    """Potential phi evaluated on every node of a grid."""
-
-    grid: Grid
-    values: np.ndarray
-
-
 def potential(kernel, mu, grid):
-    """phi(t) = sum_j w_j R(x_j, t) on the grid nodes."""
-    values = finite_values(
+    """phi(t) = sum_j w_j R(x_j, t) on the grid nodes, as a read-only array."""
+    phi = finite_values(
         lambda: mu.weights @ kernel.cov(mu.locations[:, None], grid.nodes[None, :]),
         "potential of the measure overflows",
     )
-    values.flags.writeable = False
-    return PotentialProfile(grid, values)
+    phi.flags.writeable = False
+    return phi
 
 
 @dataclass(frozen=True)
@@ -71,7 +61,7 @@ class OptimalityReport:
     support_deviation: max |phi(atom) - energy| over the atoms.
     global_slack: min_grid phi - energy; negative means some grid node
     undercuts the candidate energy, i.e. the measure is not optimal.
-    potential: phi on every grid node, the profile the check read.
+    potential: phi on every grid node, the array the check read.
     """
 
     energy: float
@@ -81,7 +71,7 @@ class OptimalityReport:
     global_slack: float
     tolerance: float
     passed: bool
-    potential: PotentialProfile = field(repr=False, compare=False)
+    potential: np.ndarray = field(repr=False, compare=False)
 
 
 @_threads.one_blas_thread()
@@ -96,8 +86,7 @@ def check_optimality(kernel, mu, grid, tol=1e-8):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     on_support, e = _support_energy(kernel, mu)
     support_deviation = float(np.max(np.abs(on_support - e)))
-    profile = potential(kernel, mu, grid)
-    on_grid = profile.values
+    on_grid = potential(kernel, mu, grid)
     k = int(np.argmin(on_grid))
     min_potential = float(on_grid[k])
     global_slack = min_potential - e
@@ -110,18 +99,19 @@ def check_optimality(kernel, mu, grid, tol=1e-8):
         global_slack=global_slack,
         tolerance=tol,
         passed=passed,
-        potential=profile,
+        potential=on_grid,
     )
 
 
 def rate(sigma_sq):
-    """Tail decay rate -1 / (2 sigma^2) of log P(min > u) / u^2."""
+    """Tail decay rate -1 / (2 sigma^2) of log P(min > u) / u^2.
+
+    sigma^2 = 0 (a measure on nodes where the process vanishes, such as the
+    origin for a pinned process) means P(min > u) = 0 for every u > 0, so
+    the rate is -inf; a negative or nan variance raises ValueError.
+    """
+    if sigma_sq == 0.0:
+        return float("-inf")
     if not sigma_sq > 0.0:
-        raise ValueError(f"variance must be positive, got {sigma_sq}")
+        raise ValueError(f"variance must be nonnegative, got {sigma_sq}")
     return -1.0 / (2.0 * sigma_sq)
-
-
-def _rate(sigma_sq):
-    # sigma_sq = 0 (a measure on nodes where the process vanishes, such as
-    # the origin for a pinned process) means P(min > u) = 0 for every u > 0
-    return rate(sigma_sq) if sigma_sq > 0.0 else float("-inf")

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .errors import (
     DegenerateKernelError,
     DomainError,
@@ -280,15 +281,18 @@ class Tabulated(Kernel):
                 matrix = 0.5 * (matrix + matrix.T)
         floor = 1e-12 * max(1.0, float(np.max(np.abs(matrix))))
         # a Cholesky factor of M + floor * I accepts the table at a fraction
-        # of the cost of its eigenvalues, which only a failure needs
-        try:
-            np.linalg.cholesky(matrix + floor * np.eye(nodes.size))
-        except np.linalg.LinAlgError:
-            smallest = float(np.linalg.eigvalsh(matrix)[0])
-            if smallest < -floor:
-                raise FactorizationError(
-                    f"tabulated matrix is not positive semidefinite: eigenvalue {smallest!r}"
-                ) from None
+        # of the cost of its eigenvalues, which only a failure needs; one
+        # OpenBLAS thread, so acceptance does not depend on GAUSSMIN_THREADS
+        # and leaves no helper thread spinning afterwards
+        with _threads.one_blas_thread():
+            try:
+                np.linalg.cholesky(matrix + floor * np.eye(nodes.size))
+            except np.linalg.LinAlgError:
+                smallest = float(np.linalg.eigvalsh(matrix)[0])
+                if smallest < -floor:
+                    raise FactorizationError(
+                        f"tabulated matrix is not positive semidefinite: eigenvalue {smallest!r}"
+                    ) from None
         self.nodes = nodes
         self.matrix = matrix
         span = nodes[-1] - nodes[0] if nodes.size > 1 else 1.0

@@ -126,8 +126,8 @@ def test_degenerate_hurst_uniform_optimum():
     assert abs(result.energy - 1.0 / 3.0) <= 1e-6
 
     mu = DiscreteMeasure([0.0, 1.0, 2.0], [1 / 3, 1 / 3, 1 / 3])
-    prof = potential(kernel, mu, Grid(0.0, 2.0, 401))
-    assert float(np.max(np.abs(prof.values - 1.0 / 3.0))) <= 1e-12
+    phi = potential(kernel, mu, Grid(0.0, 2.0, 401))
+    assert float(np.max(np.abs(phi - 1.0 / 3.0))) <= 1e-12
 
 
 def test_brute_force_never_beats_solver():

@@ -214,6 +214,17 @@ class TestSecondCase:
         with pytest.raises(ValueError, match="nodes"):
             audit_second_case(FractionalGaussianNoise(0.75, 1.0), 1.0, n=7)
 
+    @pytest.mark.parametrize(("H", "node"), [(0.5000000008376776, 388), (0.75, 179)])
+    def test_witness_is_the_first_sign_change(self, H, node):
+        # near H = 1/2 the 300 differences from t[88] to t[388] are flat to
+        # rounding and carry no sign, so the curve first falls at t[388],
+        # though the change sits at index 88 among the signed differences
+        report = audit_second_case(FractionalGaussianNoise(H, 1.0), 1.0)
+        t = np.linspace(1.0 / 513, 1.0 - 1.0 / 513, 512)
+        assert report.witness == (float(t[node]),)
+        assert report.passed is True
+        assert "sign_changes=1" in report.note
+
 
 class TestClosedForm:
     def test_left_endpoint(self):

@@ -400,6 +400,26 @@ class TestVerify:
         assert float(pairs["sigma_sq"]) == 0.0
         assert pairs["rate"] == "-inf"
 
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_energy_rounded_below_zero_reports_infinite_rate(
+        self, run_cli, write_ini, tmp_path, command
+    ):
+        # the table's eigenvalue -1e-13 lies within its rounding floor, so it
+        # is accepted, and the Dirac at its second node has energy -1e-13
+        (tmp_path / "neg.csv").write_text("i,j,value\n0,0,0\n0,1,0\n1,0,0\n1,1,-1e-13\n")
+        body = (
+            "[kernel]\nkind = tabulated\npath = neg.csv\n"
+            "[interval]\na = 1.0\nb = 2.0\n[grid]\nn = 2\n"
+        )
+        extra = []
+        if command == "verify":
+            extra = ["--measure", self._measure_csv(tmp_path, [2.0], [1.0])]
+        code, out, err = run_cli(command, "--config", write_ini("n.ini", body), *extra)
+        pairs = parse_pairs(out)
+        assert (code, err) == (0, "")
+        assert float(pairs["sigma_sq"]) == -1e-13
+        assert pairs["rate"] == "-inf"
+
     # an infinite tolerance would certify any measure, even a wrong one
     @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_nonpositive_tolerance_rejected(self, run_cli, write_ini, tmp_path, tol):

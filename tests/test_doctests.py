@@ -46,7 +46,7 @@ PUBLIC = {
     "DegenerateKernelError", "DiscreteMeasure", "DiscretizedProblem", "DomainError",
     "EmptyMeasureError", "FactorizationError", "FractionalBM", "FractionalGaussianNoise",
     "GaussminError", "Grid", "GridError", "IncrementOf", "IntervalError", "Kernel",
-    "LdpEstimate", "OptimalityReport", "PinnedOriginError", "PotentialProfile", "RunConfig",
+    "LdpEstimate", "OptimalityReport", "PinnedOriginError", "RunConfig",
     "SingularityError", "SolverResult", "StationarityError", "Tabulated", "__version__",
     "applicable_audits", "audit_converse", "audit_first_case", "audit_increment_monotone",
     "audit_nonneg_increments", "audit_second_case", "build_kernel", "c_star",
@@ -57,7 +57,7 @@ PUBLIC = {
 
 
 def test_public_names():
-    assert len(gaussmin.__all__) == len(PUBLIC) == 53
+    assert len(gaussmin.__all__) == len(PUBLIC) == 52
     assert set(gaussmin.__all__) == PUBLIC
     namespace = {}
     exec("from gaussmin import *", namespace)

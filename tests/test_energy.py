@@ -16,7 +16,6 @@ from gaussmin import (
     FractionalGaussianNoise,
     Grid,
     OptimalityReport,
-    PotentialProfile,
     c_star,
     check_optimality,
     dirac,
@@ -93,26 +92,26 @@ class TestPotential:
     def test_dirac_potential_is_cross_covariance(self):
         kernel = BrownianMotion()
         grid = Grid(1.0, 2.0, 5)
-        prof = potential(kernel, dirac(1.0), grid)
-        assert isinstance(prof, PotentialProfile)
-        assert prof.grid is grid
+        phi = potential(kernel, dirac(1.0), grid)
+        assert isinstance(phi, np.ndarray)
+        assert phi.shape == grid.nodes.shape
         # phi(t) = min(1, t) = 1 on [1, 2].
-        np.testing.assert_array_equal(prof.values, np.ones(5))
+        np.testing.assert_array_equal(phi, np.ones(5))
 
     def test_two_point_potential_values(self):
         kernel = FractionalGaussianNoise(0.75, 1.0)
         grid = Grid(0.0, 1.0, 3)
-        prof = potential(kernel, two_point(0.0, 1.0), grid)
+        phi = potential(kernel, two_point(0.0, 1.0), grid)
         expected = [
             0.5 * (kernel.gamma(t - 0.0) + kernel.gamma(t - 1.0))
             for t in grid.nodes
         ]
-        np.testing.assert_allclose(prof.values, expected, rtol=1e-15)
+        np.testing.assert_allclose(phi, expected, rtol=1e-15)
 
     def test_values_read_only(self):
-        prof = potential(BrownianMotion(), dirac(1.0), Grid(1.0, 2.0, 4))
+        phi = potential(BrownianMotion(), dirac(1.0), Grid(1.0, 2.0, 4))
         with pytest.raises(ValueError):
-            prof.values[0] = 0.0
+            phi[0] = 0.0
 
 
 class TestCheckOptimality:
@@ -163,11 +162,12 @@ class TestCheckOptimality:
         kernel, grid = FractionalGaussianNoise(0.75, 1.0), Grid(0.0, 2.0, 401)
         mu = three_point(0.0, 1.0, c_star(kernel, 1.0))
         report = check_optimality(kernel, mu, grid, tol=1e-8)
-        prof = potential(kernel, mu, grid)
-        assert report.potential.grid is grid
-        np.testing.assert_array_equal(report.potential.values, prof.values)
-        assert report.min_potential == np.min(prof.values)
-        # the profile takes no part in equality or the repr
+        phi = potential(kernel, mu, grid)
+        assert isinstance(report.potential, np.ndarray)
+        np.testing.assert_array_equal(report.potential, phi)
+        assert not report.potential.flags.writeable
+        assert report.min_potential == np.min(phi)
+        # the array takes no part in equality or the repr
         assert report == check_optimality(kernel, mu, grid, tol=1e-8)
         assert " potential=" not in repr(report)
 
@@ -251,5 +251,9 @@ class TestRate:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_rejects_nonpositive_variance(self, bad):
+        if bad == 0.0:
+            # P(min > u) = 0 for every u > 0 when the process vanishes
+            assert rate(bad) == rate(-0.0) == float("-inf")
+            return
         with pytest.raises(ValueError, match="variance"):
             rate(bad)

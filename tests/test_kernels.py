@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaussmin import _threads
 from gaussmin import (
     BrownianMotion,
     DomainError,
@@ -278,3 +279,28 @@ class TestTabulated:
     def test_not_stationary(self):
         with pytest.raises(StationarityError):
             self._kernel().gamma(1.0)
+
+    def test_positive_semidefinite_check_runs_on_one_blas_thread(self, monkeypatch):
+        # two OpenBLAS threads would make acceptance depend on the cap and
+        # leave an idle helper thread spinning after the table is built
+        calls = _threads._openblas()
+        if calls is None:
+            pytest.skip("numpy is not linked against its bundled OpenBLAS")
+        get, set_ = calls
+        previous = get()
+        set_(2)
+        try:
+            seen = []
+            real = np.linalg.cholesky
+
+            def cholesky(matrix):
+                seen.append(get())
+                return real(matrix)
+
+            monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+            nodes = np.linspace(1.0, 2.0, 201)
+            Tabulated(nodes, FractionalBM(0.7).cov(nodes[:, None], nodes[None, :]))
+            assert seen == [1]
+            assert get() == 2
+        finally:
+            set_(previous)
